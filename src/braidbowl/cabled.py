@@ -22,9 +22,11 @@ than assume.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .braid import BraidWord
 from .matrix import TransitionMatrix
+from .multiball import push_columns
 from .qpoly import ONE, ONE_MINUS_Q, Q, QPoly, falling_probability, poly_sum
 from .report import CheckReport
 
@@ -35,13 +37,21 @@ MicroOrder = list[tuple[int, int]]
 
 def fall_distribution(K: int, a: int, b: int) -> FallDistribution:
     """Closed-form distribution of the number of falling balls at one
-    cabled crossing; keys range over 0..min(a, K-b)."""
-    dist = {}
-    for c in range(min(a, K - b) + 1):
-        p = falling_probability(K, a, b, c)
-        if p:
-            dist[c] = p
-    return dist
+    cabled crossing; keys range over 0..min(a, K-b).  Returns a fresh dict
+    on every call."""
+    if K < 1:
+        raise ValueError(f"cable width must be >= 1, got {K}")
+    if not 0 <= a <= K or not 0 <= b <= K:
+        raise ValueError(f"need 0 <= a, b <= K, got a={a}, b={b}, K={K}")
+    return dict(_fall_items(K, a, b))
+
+
+@lru_cache(maxsize=None)
+def _fall_items(K: int, a: int, b: int) -> tuple[tuple[int, QPoly], ...]:
+    """The nonzero (c, f(c)) pairs of ``fall_distribution``, computed once
+    per (K, a, b)."""
+    terms = ((c, falling_probability(K, a, b, c)) for c in range(min(a, K - b) + 1))
+    return tuple((c, p) for c, p in terms if p)
 
 
 def apply_generator_cabled(
@@ -83,23 +93,9 @@ def rho_cabled_matrix(word: BraidWord, K: int) -> TransitionMatrix:
     """Transition matrix of a word on group-count states, dimension (K+1)^n."""
     if K < 1:
         raise ValueError(f"cable width must be >= 1, got {K}")
-    dim = (K + 1) ** word.n
-    cols: dict[int, dict[int, QPoly]] = {}
-    for idx in range(dim):
-        dist = {index_cable(idx, word.n, K): ONE}
-        for i in word.letters:
-            nxt: dict[CableState, QPoly] = {}
-            for s, w in dist.items():
-                for t, branch in apply_generator_cabled(i, s, K):
-                    acc = nxt.get(t)
-                    total = w * branch if acc is None else acc + w * branch
-                    if total:
-                        nxt[t] = total
-                    elif t in nxt:
-                        del nxt[t]
-            dist = nxt
-        cols[idx] = {cable_index(t, K): w for t, w in dist.items()}
-    return TransitionMatrix(dim, cols)
+    return push_columns(
+        word.letters, word.n, K + 1, lambda i, s: apply_generator_cabled(i, s, K)
+    )
 
 
 def sweep_order(K: int) -> MicroOrder:

@@ -28,6 +28,7 @@ the inverse formula sigma^{-1} = q^{-1}(sigma + q - 1) at rational q.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .braid import BraidWord, HeckeElement, specht_element, specht_half
 from .matrix import Matrix, TransitionMatrix, matrices_equal_entry
@@ -82,33 +83,58 @@ def _validate_sizes(n: int, N: int) -> None:
         raise ValueError(f"need N >= 1 (N = 0 is the trivial representation), got {N}")
 
 
-def _push_distribution(
-    letters: tuple[int, ...], dist: dict[BallState, QPoly]
-) -> dict[BallState, QPoly]:
-    for i in letters:
-        nxt: dict[BallState, QPoly] = {}
-        for u, w in dist.items():
-            for v, branch in apply_generator(i, u):
-                acc = nxt.get(v)
-                total = w * branch if acc is None else acc + w * branch
-                if total:
-                    nxt[v] = total
-                elif v in nxt:
-                    del nxt[v]
-        dist = nxt
-    return dist
+Rule = Callable[[int, BallState], list[tuple[BallState, QPoly]]]
+
+
+def push_columns(letters: Sequence[int], n: int, radix: int, rule: Rule) -> TransitionMatrix:
+    """The transition matrix of a positive word on count-tuple states.
+
+    A state is an n-tuple of counts in 0..radix-1, at mixed-radix index
+    sum of u_i radix^(i-1).  ``rule(i, u)`` lists the branches (v, weight) of
+    the crossing sigma_i on state u.  Every basis column is pushed through
+    the letters as a sparse distribution on indices.  The branches of a
+    (letter, state) pair are tabulated the first time the pair is reached,
+    and a branch of weight ``ONE`` adds without a multiplication.
+    """
+    dim, cap = radix**n, radix - 1
+    tables = {i: [None] * dim for i in letters}
+
+    def branches_of(i: int, s: int) -> list[tuple[int, QPoly]]:
+        return [
+            (state_index(v, cap), ONE if w == ONE else w)
+            for v, w in rule(i, index_state(s, n, cap))
+        ]
+
+    cols: dict[int, dict[int, QPoly]] = {}
+    for j in range(dim):
+        dist = {j: ONE}
+        for i in letters:
+            table = tables[i]
+            nxt: dict[int, QPoly] = {}
+            for s, w in dist.items():
+                branches = table[s]
+                if branches is None:
+                    branches = table[s] = branches_of(i, s)
+                for t, p in branches:
+                    term = w if p is ONE else w * p
+                    acc = nxt.get(t)
+                    if acc is None:
+                        nxt[t] = term
+                    else:
+                        total = acc + term
+                        if total:
+                            nxt[t] = total
+                        else:
+                            del nxt[t]
+            dist = nxt
+        cols[j] = dist
+    return TransitionMatrix(dim, cols)
 
 
 def rho_matrix(word: BraidWord, N: int) -> TransitionMatrix:
     """The transition matrix of a word, built column by column."""
     _validate_sizes(word.n, N)
-    dim = (N + 1) ** word.n
-    cols: dict[int, dict[int, QPoly]] = {}
-    for idx in range(dim):
-        u = index_state(idx, word.n, N)
-        dist = _push_distribution(word.letters, {u: ONE})
-        cols[idx] = {state_index(v, N): w for v, w in dist.items()}
-    return TransitionMatrix(dim, cols)
+    return push_columns(word.letters, word.n, N + 1, apply_generator)
 
 
 def generator_matrix(i: int, n: int, N: int) -> TransitionMatrix:

@@ -11,11 +11,18 @@ The combinatorial layer provides quantum integers [k] = 1 + q + ... + q^{k-1}
 (the positive-exponent convention, not the one symmetric under q -> 1/q),
 q-factorials, Gaussian binomials, inversion counters, and the closed-form
 distribution of how many balls fall at a single cabled crossing.
+
+Validation happens only at the boundary: ``QPoly(...)`` (and the ``of`` and
+``monomial`` helpers built on it) and ``QPoly.from_json`` reject any
+coefficient that is not an ``int``.  Results of ``+``, ``-``, ``*`` and
+negation are built from coefficients that are ints by construction, so they
+skip that scan and only strip trailing zeros.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,20 +36,15 @@ class QPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        """The boundary check: every coefficient must be an int (not a bool)."""
         coeffs = tuple(self.coeffs)
-        if any(not isinstance(c, int) for c in coeffs):
+        if any(not isinstance(c, int) or isinstance(c, bool) for c in coeffs):
             raise TypeError(f"integer coefficients required, got {coeffs!r}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _strip(coeffs))
 
     @classmethod
     def of(cls, *coeffs: int) -> QPoly:
         return cls(coeffs)
-
-    @classmethod
-    def constant(cls, c: int) -> QPoly:
-        return cls((c,))
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> QPoly:
@@ -66,12 +68,12 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return QPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return _trusted(tuple(map(operator.add, a, b)) + a[len(b):])
 
     __radd__ = __add__
 
     def __neg__(self) -> QPoly:
-        return QPoly(tuple(-c for c in self.coeffs))
+        return _trusted(tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other: QPoly | int) -> QPoly:
         if isinstance(other, int):
@@ -85,18 +87,18 @@ class QPoly:
 
     def __mul__(self, other: QPoly | int) -> QPoly:
         if isinstance(other, int):
-            return QPoly(tuple(other * c for c in self.coeffs))
+            return _trusted(tuple(other * c for c in self.coeffs))
         if not isinstance(other, QPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return QPoly()
+            return ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return QPoly(tuple(out))
+        return _trusted(tuple(out))
 
     __rmul__ = __mul__
 
@@ -136,7 +138,22 @@ class QPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> QPoly:
-        return cls(tuple(int(c) for c in data["coeffs"]))
+        return cls(tuple(data["coeffs"]))
+
+
+def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return coeffs if end == len(coeffs) else coeffs[:end]
+
+
+def _trusted(coeffs: tuple[int, ...]) -> QPoly:
+    """A QPoly from int coefficients the caller guarantees, skipping the
+    ``__post_init__`` check; only trailing zeros are stripped."""
+    p = object.__new__(QPoly)
+    object.__setattr__(p, "coeffs", _strip(coeffs))
+    return p
 
 
 ZERO = QPoly()

@@ -39,11 +39,3 @@ class CheckReport:
         lines.extend(f"    {f}" for f in self.failures)
         return "\n".join(lines)
 
-
-def combine(name: str, reports: list[CheckReport]) -> CheckReport:
-    out = CheckReport(name=name, passed=all(r.passed for r in reports),
-                      checks=sum(r.checks for r in reports))
-    for r in reports:
-        out.failures.extend(f"[{r.name}] {f}" for f in r.failures)
-    del out.failures[MAX_FAILURES:]
-    return out

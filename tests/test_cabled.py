@@ -163,3 +163,19 @@ def test_fall_distribution_keys_bounded():
     dist = fall_distribution(3, 2, 2)
     assert set(dist) <= set(range(0, 2))
     assert poly_sum(dist.values()) == ONE
+
+
+def test_fall_distribution_returns_a_fresh_dict():
+    first = fall_distribution(3, 2, 0)
+    expected = {c: falling_probability(3, 2, 0, c) for c in range(3)}
+    assert first == expected
+    first[0] = ONE
+    del first[1]
+    first[7] = Q
+    assert fall_distribution(3, 2, 0) == expected
+
+
+@pytest.mark.parametrize("K, a, b", [(3, 0, 5), (3, -1, 0), (3, 4, 0), (2, 0, -1), (0, 0, 0)])
+def test_fall_distribution_rejects_counts_outside_cable(K, a, b):
+    with pytest.raises(ValueError):
+        fall_distribution(K, a, b)

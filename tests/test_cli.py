@@ -144,6 +144,11 @@ class TestFallCommand:
         code, _, err = run(capsys, "fall", "--cable", "2", "--a", "3", "--b", "0")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("a, b", [(0, 5), (-1, 0)])
+    def test_counts_outside_cable_rejected(self, capsys, a, b):
+        code, out, err = run(capsys, "fall", "--cable", "3", "--a", str(a), "--b", str(b))
+        assert code == 2 and "error" in err and out == ""
+
 
 class TestCheckCommand:
     def test_check_all_small(self, capsys):

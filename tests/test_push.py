@@ -1,0 +1,70 @@
+"""The tabulated push kernel behind rho_matrix and rho_cabled_matrix, checked
+exactly against the per-column tuple push it replaced."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidbowl.braid import BraidWord
+from braidbowl.cabled import cable_index, index_cable, rho_cabled_matrix
+from braidbowl.matrix import Matrix
+from braidbowl.multiball import apply_generator, index_state, rho_matrix, state_index
+from braidbowl.qpoly import ONE, falling_probability
+
+
+def reference_push(word, cap, rule, encode, decode):
+    """Push every basis state through the word as a dict of state tuples,
+    calling the crossing rule on every branch and multiplying every weight."""
+    dim = (cap + 1) ** word.n
+    cols = {}
+    for idx in range(dim):
+        dist = {decode(idx, word.n, cap): ONE}
+        for i in word.letters:
+            nxt = {}
+            for u, w in dist.items():
+                for v, branch in rule(i, u):
+                    acc = nxt.get(v)
+                    total = w * branch if acc is None else acc + w * branch
+                    if total:
+                        nxt[v] = total
+                    elif v in nxt:
+                        del nxt[v]
+            dist = nxt
+        cols[idx] = {encode(v, cap): w for v, w in dist.items()}
+    return Matrix(dim, cols)
+
+
+def uncached_cabled_rule(K):
+    """The cabled crossing straight from the closed formula, bypassing the
+    fall-distribution cache."""
+
+    def rule(i, s):
+        a, b = s[i - 1], s[i]
+        out = []
+        for c in range(min(a, K - b) + 1):
+            p = falling_probability(K, a, b, c)
+            if p:
+                out.append((s[: i - 1] + (b + c, a - c) + s[i + 1 :], p))
+        return out
+
+    return rule
+
+
+@st.composite
+def words(draw, max_n=4, max_len=6):
+    n = draw(st.integers(1, max_n))
+    letters = draw(st.lists(st.integers(1, n - 1), max_size=max_len)) if n > 1 else []
+    return BraidWord(n, tuple(letters))
+
+
+@given(words(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_rho_matrix_matches_reference_push(word, N):
+    expected = reference_push(word, N, apply_generator, state_index, index_state)
+    assert rho_matrix(word, N) == expected
+
+
+@given(words(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_rho_cabled_matrix_matches_reference_push(word, K):
+    expected = reference_push(word, K, uncached_cabled_rule(K), cable_index, index_cable)
+    assert rho_cabled_matrix(word, K) == expected

@@ -211,3 +211,15 @@ class TestJson:
     @settings(max_examples=40)
     def test_poly_roundtrip_property(self, p):
         assert QPoly.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("coeffs", [[1.7, "2"], [1, 2.0], ["3"], [True], [1, None]])
+    def test_from_json_rejects_non_int_coefficients(self, coeffs):
+        with pytest.raises(TypeError):
+            QPoly.from_json({"coeffs": coeffs})
+
+
+def test_constructor_rejects_non_int_coefficients():
+    with pytest.raises(TypeError):
+        QPoly((1.5,))
+    with pytest.raises(TypeError):
+        QPoly.of(1, Fraction(1, 2))
