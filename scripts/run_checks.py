@@ -16,6 +16,7 @@ from braidbowl.cabled import (
     check_cabled_formula,
     check_oracle_placement_invariance,
 )
+from braidbowl.cli import MAX_DIM
 from braidbowl.multiball import (
     check_braid_relation,
     check_far_commutativity,
@@ -46,7 +47,7 @@ def main() -> int:
 
     ok = True
     for n, N in itertools.product(range(3, args.max_n + 1), range(1, args.max_balls + 1)):
-        if (N + 1) ** n > 100_000:
+        if (N + 1) ** n > MAX_DIM:
             continue
         ok &= timed(check_braid_relation, n, N)
         if n >= 4:

@@ -26,11 +26,10 @@ from functools import lru_cache
 
 from .braid import BraidWord
 from .matrix import TransitionMatrix
-from .multiball import push_columns
+from .multiball import BallState, braid_pairs, far_pairs, push_columns, record_word_pairs
 from .qpoly import ONE, ONE_MINUS_Q, Q, QPoly, falling_probability, poly_sum
 from .report import CheckReport
 
-CableState = tuple[int, ...]
 FallDistribution = dict[int, QPoly]
 MicroOrder = list[tuple[int, int]]
 
@@ -55,8 +54,8 @@ def _fall_items(K: int, a: int, b: int) -> tuple[tuple[int, QPoly], ...]:
 
 
 def apply_generator_cabled(
-    i: int, s: CableState, K: int
-) -> list[tuple[CableState, QPoly]]:
+    i: int, s: BallState, K: int
+) -> list[tuple[BallState, QPoly]]:
     """Branches of one cabled crossing sigma_i applied to group counts s."""
     n = len(s)
     if not 1 <= i <= n - 1:
@@ -67,26 +66,6 @@ def apply_generator_cabled(
         state = s[: i - 1] + (b + c, a - c) + s[i + 1 :]
         out.append((state, p))
     return out
-
-
-def cable_index(s: CableState, K: int) -> int:
-    idx = 0
-    for pos in range(len(s) - 1, -1, -1):
-        c = s[pos]
-        if not 0 <= c <= K:
-            raise ValueError(f"count {c} at position {pos + 1} outside 0..{K}")
-        idx = idx * (K + 1) + c
-    return idx
-
-
-def index_cable(idx: int, n: int, K: int) -> CableState:
-    if not 0 <= idx < (K + 1) ** n:
-        raise ValueError(f"index {idx} outside 0..{(K + 1) ** n - 1}")
-    out = []
-    for _ in range(n):
-        idx, c = divmod(idx, K + 1)
-        out.append(c)
-    return tuple(out)
 
 
 def rho_cabled_matrix(word: BraidWord, K: int) -> TransitionMatrix:
@@ -216,22 +195,6 @@ def check_oracle_placement_invariance(K: int, a: int, b: int) -> CheckReport:
 
 def check_cabled_braid_relation(n: int, K: int) -> CheckReport:
     """Braid relation and far commutativity for the cabled matrices."""
-    if n < 3:
-        raise ValueError(f"braid relation needs n >= 3, got {n}")
     report = CheckReport(name=f"cabled-braid-relation n={n} K={K}")
-    for i in range(1, n - 1):
-        left = rho_cabled_matrix(BraidWord(n, (i, i + 1, i)), K)
-        right = rho_cabled_matrix(BraidWord(n, (i + 1, i, i + 1)), K)
-        report.record(
-            left == right,
-            lambda i=i: f"rho_K({i} {i+1} {i}) != rho_K({i+1} {i} {i+1})",
-        )
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            left = rho_cabled_matrix(BraidWord(n, (i, j)), K)
-            right = rho_cabled_matrix(BraidWord(n, (j, i)), K)
-            report.record(
-                left == right,
-                lambda i=i, j=j: f"rho_K({i} {j}) != rho_K({j} {i})",
-            )
-    return report
+    pairs = braid_pairs(n) + far_pairs(n)
+    return record_word_pairs(report, pairs, lambda w: rho_cabled_matrix(w, K), n, K)

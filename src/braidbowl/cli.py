@@ -23,10 +23,11 @@ from fractions import Fraction
 from . import cabled as cabledmod
 from . import multiball
 from .braid import parse_word
-from .qpoly import QPoly, fraction_to_json
+from .qpoly import fraction_to_json
 from .report import CheckReport
 
 MAX_DIM = 100_000
+MAX_CABLE = 20  # fall_distribution slows steeply with K; K=1100 exhausts the recursion limit
 SUITES = ("braid", "hecke", "specht", "cabled", "stochastic", "all")
 
 
@@ -34,29 +35,6 @@ def _value_json(v, eval_q: Fraction | None):
     if eval_q is None:
         return v.to_json()
     return fraction_to_json(v)
-
-
-def _matrix_json(m, meta: dict, eval_q: Fraction | None) -> dict:
-    if eval_q is not None:
-        m = m.eval_at(eval_q)
-    out = dict(meta)
-    out["dim"] = m.dim
-    out["entries"] = [
-        [row, col, _value_json(v, eval_q)] for row, col, v in m.entries_sorted()
-    ]
-    return out
-
-
-def _matrix_pretty(m, meta: dict, eval_q: Fraction | None, states) -> str:
-    if eval_q is not None:
-        m = m.eval_at(eval_q)
-    head = " ".join(f"{k}={v}" for k, v in meta.items())
-    lines = [f"{head} dim={m.dim}"]
-    for row, col, v in m.entries_sorted():
-        u = list(states(col))
-        w = list(states(row))
-        lines.append(f"  u={u} -> v={w}: {v}")
-    return "\n".join(lines)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -76,44 +54,59 @@ def _parse_eval_q(text: str | None) -> Fraction | None:
         raise ValueError(f"bad rational {text!r}; expected p/q or an integer") from None
 
 
-def cmd_rho(args) -> int:
+def _check_dim(radix: int, n: int) -> None:
+    """Reject radix^n > MAX_DIM without computing radix^n: the product grows
+    one strand at a time, so an oversized n costs nothing.  Needs radix >= 2."""
+    dim = 1
+    for _ in range(n):
+        dim *= radix
+        if dim > MAX_DIM:
+            raise ValueError(f"state space {radix}^{n} exceeds desk-scale cap {MAX_DIM}")
+
+
+def _check_cable(K: int) -> None:
+    if not 1 <= K <= MAX_CABLE:
+        raise ValueError(f"--cable must be in 1..{MAX_CABLE} (desk-scale)")
+
+
+def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
+    """Shared body of ``rho`` and ``cabled``: ``build(word)`` is the transition
+    matrix on states of n counts in 0..cap."""
     word = parse_word(args.word, args.n)
+    _check_dim(cap + 1, args.n)
+    eval_q = _parse_eval_q(args.eval_q)
+    m = build(word)
+    if eval_q is not None:
+        m = m.eval_at(eval_q)
+    meta = {"n": args.n, cap_name: cap}
+    if args.format == "json":
+        entries = [[row, col, _value_json(v, eval_q)] for row, col, v in m.entries_sorted()]
+        _emit(json.dumps({**meta, "dim": m.dim, "entries": entries}), args.out)
+    else:
+        state = lambda idx: list(multiball.index_state(idx, args.n, cap))
+        lines = [f"n={args.n} {cap_name}={cap} word='{word}' dim={m.dim}"]
+        for row, col, v in m.entries_sorted():
+            lines.append(f"  u={state(col)} -> v={state(row)}: {v}")
+        _emit("\n".join(lines), args.out)
+    return 0
+
+
+def cmd_rho(args) -> int:
     N = args.max_balls
     if N < 1:
         raise ValueError("--max-balls must be >= 1")
-    if (N + 1) ** args.n > MAX_DIM:
-        raise ValueError(f"state space (N+1)^n exceeds desk-scale cap {MAX_DIM}")
-    eval_q = _parse_eval_q(args.eval_q)
-    m = multiball.rho_matrix(word, N)
-    meta = {"n": args.n, "N": N}
-    if args.format == "json":
-        _emit(json.dumps(_matrix_json(m, meta, eval_q)), args.out)
-    else:
-        states = lambda idx: multiball.index_state(idx, args.n, N)
-        _emit(_matrix_pretty(m, {**meta, "word": f"'{word}'"}, eval_q, states), args.out)
-    return 0
+    return _cmd_matrix(args, "N", N, lambda word: multiball.rho_matrix(word, N))
 
 
 def cmd_cabled(args) -> int:
-    word = parse_word(args.word, args.n)
     K = args.cable
-    if K < 1:
-        raise ValueError("--cable must be >= 1")
-    if (K + 1) ** args.n > MAX_DIM:
-        raise ValueError(f"state space (K+1)^n exceeds desk-scale cap {MAX_DIM}")
-    eval_q = _parse_eval_q(args.eval_q)
-    m = cabledmod.rho_cabled_matrix(word, K)
-    meta = {"n": args.n, "K": K}
-    if args.format == "json":
-        _emit(json.dumps(_matrix_json(m, meta, eval_q)), args.out)
-    else:
-        states = lambda idx: cabledmod.index_cable(idx, args.n, K)
-        _emit(_matrix_pretty(m, {**meta, "word": f"'{word}'"}, eval_q, states), args.out)
-    return 0
+    _check_cable(K)
+    return _cmd_matrix(args, "K", K, lambda word: cabledmod.rho_cabled_matrix(word, K))
 
 
 def cmd_fall(args) -> int:
     K, a, b = args.cable, args.a, args.b
+    _check_cable(K)
     dist = cabledmod.fall_distribution(K, a, b)
     eval_q = _parse_eval_q(args.eval_q)
     if args.format == "json":
@@ -185,8 +178,8 @@ def cmd_check(args) -> int:
         raise ValueError("--max-balls must be >= 1")
     if not 1 <= args.cable <= 4:
         raise ValueError("--cable must be in 1..4 (oracle enumeration is desk-scale)")
-    if (args.max_balls + 1) ** args.n > MAX_DIM or (args.cable + 1) ** args.n > MAX_DIM:
-        raise ValueError(f"state space exceeds desk-scale cap {MAX_DIM}")
+    _check_dim(args.max_balls + 1, args.n)
+    _check_dim(args.cable + 1, args.n)
     reports = _run_suite(args)
     passed = all(r.passed for r in reports)
     if args.format == "json":

@@ -10,9 +10,32 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .qpoly import ONE, QPoly
+from .qpoly import ONE, ZERO
 
 Column = dict[int, object]
+
+
+def apply(cols: dict[int, Column], vec: Column) -> Column:
+    """The sparse columns ``cols`` applied to the sparse vector ``vec``: the
+    sum over r of vec[r] * cols[r], with zero entries dropped.
+
+    Products are taken as (vector weight) * (matrix entry), and an entry that
+    is ``ONE`` adds the weight without a multiplication.
+    """
+    out: Column = {}
+    for r, w in vec.items():
+        for i, p in cols.get(r, {}).items():
+            term = w if p is ONE else w * p
+            acc = out.get(i)
+            if acc is None:
+                out[i] = term
+            else:
+                total = acc + term
+                if total:
+                    out[i] = total
+                else:
+                    del out[i]
+    return out
 
 
 class Matrix:
@@ -82,21 +105,7 @@ class Matrix:
         """Matrix product: column j of A@B is A applied to column j of B."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out: dict[int, Column] = {}
-        for j, bcol in other.cols.items():
-            acc: Column = {}
-            for r, bval in bcol.items():
-                for i, aval in self.cols.get(r, {}).items():
-                    prev = acc.get(i)
-                    term = aval * bval
-                    total = term if prev is None else prev + term
-                    if total:
-                        acc[i] = total
-                    elif i in acc:
-                        del acc[i]
-            if acc:
-                out[j] = acc
-        return Matrix(self.dim, out)
+        return Matrix(self.dim, {j: apply(self.cols, bcol) for j, bcol in other.cols.items()})
 
     def eval_at(self, x: Fraction) -> Matrix:
         """Evaluate every QPoly entry at q = x, giving a Fraction matrix."""
@@ -138,12 +147,10 @@ class TransitionMatrix(Matrix):
 
     def __init__(self, dim: int, cols: dict[int, Column] | None = None):
         super().__init__(dim, cols)
+        sums = self.column_sums()
         for j in range(dim):
-            total = None
-            for v in self.cols.get(j, {}).values():
-                total = v if total is None else total + v
-            if total != ONE:
-                raise ValueError(f"column {j} sums to {total}, expected 1")
+            if sums.get(j) != ONE:
+                raise ValueError(f"column {j} sums to {sums.get(j)}, expected 1")
 
 
 def matrices_equal_entry(a: Matrix, b: Matrix) -> tuple[int, int, object, object] | None:
@@ -154,8 +161,8 @@ def matrices_equal_entry(a: Matrix, b: Matrix) -> tuple[int, int, object, object
         acol = a.cols.get(j, {})
         bcol = b.cols.get(j, {})
         for i in sorted(set(acol) | set(bcol)):
-            av = acol.get(i, QPoly())
-            bv = bcol.get(i, QPoly())
+            av = acol.get(i, ZERO)
+            bv = bcol.get(i, ZERO)
             if av != bv:
                 return i, j, av, bv
     return None

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .braid import BraidWord, HeckeElement, specht_element, specht_half
-from .matrix import Matrix, TransitionMatrix, matrices_equal_entry
+from .matrix import Matrix, TransitionMatrix, apply, matrices_equal_entry
 from .qpoly import ONE, ONE_MINUS_Q, Q, QPoly
 from .report import CheckReport
 
@@ -89,44 +89,24 @@ Rule = Callable[[int, BallState], list[tuple[BallState, QPoly]]]
 def push_columns(letters: Sequence[int], n: int, radix: int, rule: Rule) -> TransitionMatrix:
     """The transition matrix of a positive word on count-tuple states.
 
-    A state is an n-tuple of counts in 0..radix-1, at mixed-radix index
-    sum of u_i radix^(i-1).  ``rule(i, u)`` lists the branches (v, weight) of
-    the crossing sigma_i on state u.  Every basis column is pushed through
-    the letters as a sparse distribution on indices.  The branches of a
-    (letter, state) pair are tabulated the first time the pair is reached,
-    and a branch of weight ``ONE`` adds without a multiplication.
+    A state is an n-tuple of counts in 0..radix-1, at index ``state_index``.
+    ``rule(i, u)`` lists the branches (v, weight) of the crossing sigma_i on
+    state u, with distinct targets v.  The generator columns of each distinct
+    letter are tabulated once from ``rule``, and every basis column is then
+    pushed through the letters with ``apply``.
     """
     dim, cap = radix**n, radix - 1
-    tables = {i: [None] * dim for i in letters}
 
-    def branches_of(i: int, s: int) -> list[tuple[int, QPoly]]:
-        return [
-            (state_index(v, cap), ONE if w == ONE else w)
-            for v, w in rule(i, index_state(s, n, cap))
-        ]
+    def column(i: int, s: int) -> dict[int, QPoly]:
+        branches = rule(i, index_state(s, n, cap))
+        return {state_index(v, cap): ONE if w == ONE else w for v, w in branches}
 
+    gens = {i: {s: column(i, s) for s in range(dim)} for i in set(letters)}
     cols: dict[int, dict[int, QPoly]] = {}
     for j in range(dim):
         dist = {j: ONE}
         for i in letters:
-            table = tables[i]
-            nxt: dict[int, QPoly] = {}
-            for s, w in dist.items():
-                branches = table[s]
-                if branches is None:
-                    branches = table[s] = branches_of(i, s)
-                for t, p in branches:
-                    term = w if p is ONE else w * p
-                    acc = nxt.get(t)
-                    if acc is None:
-                        nxt[t] = term
-                    else:
-                        total = acc + term
-                        if total:
-                            nxt[t] = total
-                        else:
-                            del nxt[t]
-            dist = nxt
+            dist = apply(gens[i], dist)
         cols[j] = dist
     return TransitionMatrix(dim, cols)
 
@@ -172,19 +152,45 @@ def _record_matrix_equal(
     report.record(diff is None, describe)
 
 
+def record_word_pairs(
+    report: CheckReport,
+    pairs: Sequence[tuple[BraidWord, BraidWord]],
+    matrix_of: Callable[[BraidWord], Matrix],
+    n: int,
+    cap: int,
+) -> CheckReport:
+    """Record matrix_of(left) == matrix_of(right) for every (left, right) pair,
+    reporting the first differing entry on states with counts in 0..cap."""
+    for left, right in pairs:
+        _record_matrix_equal(
+            report, f"{left} vs {right}", matrix_of(left), matrix_of(right), n, cap
+        )
+    return report
+
+
+def braid_pairs(n: int) -> list[tuple[BraidWord, BraidWord]]:
+    """(sigma_i sigma_{i+1} sigma_i, sigma_{i+1} sigma_i sigma_{i+1}) for every i."""
+    if n < 3:
+        raise ValueError(f"braid relation needs n >= 3, got {n}")
+    return [
+        (BraidWord(n, (i, i + 1, i)), BraidWord(n, (i + 1, i, i + 1))) for i in range(1, n - 1)
+    ]
+
+
+def far_pairs(n: int) -> list[tuple[BraidWord, BraidWord]]:
+    """(sigma_i sigma_j, sigma_j sigma_i) for every |i - j| > 1."""
+    return [
+        (BraidWord(n, (i, j)), BraidWord(n, (j, i)))
+        for i in range(1, n)
+        for j in range(i + 2, n)
+    ]
+
+
 def check_braid_relation(n: int, N: int) -> CheckReport:
     """rho(sigma_i sigma_{i+1} sigma_i) = rho(sigma_{i+1} sigma_i sigma_{i+1})."""
     _validate_sizes(n, N)
-    if n < 3:
-        raise ValueError(f"braid relation needs n >= 3, got {n}")
     report = CheckReport(name=f"braid-relation n={n} N={N}")
-    for i in range(1, n - 1):
-        left = rho_matrix(BraidWord(n, (i, i + 1, i)), N)
-        right = rho_matrix(BraidWord(n, (i + 1, i, i + 1)), N)
-        _record_matrix_equal(
-            report, f"{i} {i+1} {i} vs {i+1} {i} {i+1}", left, right, n, N
-        )
-    return report
+    return record_word_pairs(report, braid_pairs(n), lambda w: rho_matrix(w, N), n, N)
 
 
 def check_far_commutativity(n: int, N: int) -> CheckReport:
@@ -193,12 +199,7 @@ def check_far_commutativity(n: int, N: int) -> CheckReport:
     if n < 4:
         raise ValueError(f"far commutativity needs n >= 4, got {n}")
     report = CheckReport(name=f"far-commutativity n={n} N={N}")
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            left = rho_matrix(BraidWord(n, (i, j)), N)
-            right = rho_matrix(BraidWord(n, (j, i)), N)
-            _record_matrix_equal(report, f"{i} {j} vs {j} {i}", left, right, n, N)
-    return report
+    return record_word_pairs(report, far_pairs(n), lambda w: rho_matrix(w, N), n, N)
 
 
 def check_hecke(n: int, N: int, corrupt: bool = False) -> CheckReport:
@@ -214,7 +215,7 @@ def check_hecke(n: int, N: int, corrupt: bool = False) -> CheckReport:
     ident = Matrix.identity(dim)
     report = CheckReport(name=f"hecke-quadratic n={n} N={N}")
     for i in range(1, n):
-        m = Matrix(dim, rho_matrix(BraidWord(n, (i,)), N).cols)
+        m = rho_matrix(BraidWord(n, (i,)), N)
         if corrupt and i == 1:
             m = m + Matrix(dim, {0: {0: ONE}})
         product = (ident.scale(Q) + m) @ (ident - m)
@@ -237,7 +238,7 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     ident = Matrix.identity(dim)
     for i in range(k, k + N + 1):
         half = rho_element(specht_half(n, N, k, i), N)
-        gen = Matrix(dim, generator_matrix(i, n, N).cols)
+        gen = generator_matrix(i, n, N)
         factored = half @ (ident - gen)
         _record_matrix_equal(
             report, f"rho(x_{k}) = rho(half_{i})(I - sigma_{i})", rho_x, factored, n, N

@@ -7,19 +7,18 @@ import pytest
 from braidbowl.braid import BraidWord
 from braidbowl.cabled import (
     apply_generator_cabled,
-    cable_index,
     check_cabled_braid_relation,
     check_cabled_formula,
     check_oracle_placement_invariance,
     crossing_oracle,
     fall_distribution,
-    index_cable,
     rho_cabled_matrix,
     sweep_order,
 )
 from braidbowl.matrix import Matrix
-from braidbowl.multiball import rho_matrix
+from braidbowl.multiball import index_state, record_word_pairs, rho_matrix, state_index
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, falling_probability, poly_sum
+from braidbowl.report import CheckReport
 
 
 def all_words(n, max_len):
@@ -71,11 +70,11 @@ class TestCabledMatrix:
     def test_ball_conservation(self):
         m = rho_cabled_matrix(BraidWord(3, (2, 1, 2)), 2)
         for i, j, _v in m.entries_sorted():
-            assert sum(index_cable(i, 3, 2)) == sum(index_cable(j, 3, 2))
+            assert sum(index_state(i, 3, 2)) == sum(index_state(j, 3, 2))
 
     def test_index_roundtrip(self):
         for idx in range(27):
-            assert cable_index(index_cable(idx, 3, 2), 2) == idx
+            assert state_index(index_state(idx, 3, 2), 2) == idx
 
 
 class TestCrossingOracle:
@@ -157,6 +156,14 @@ class TestFormulaChecks:
         report = check_cabled_braid_relation(4, 2)
         assert report.passed
         assert report.checks == 3  # two adjacent pairs + far pair (1, 3)
+
+    def test_cabled_mismatch_reports_failing_entry(self):
+        report = CheckReport(name="cabled negative control")
+        pairs = [(BraidWord(3, (1,)), BraidWord(3, (2,)))]
+        record_word_pairs(report, pairs, lambda w: rho_cabled_matrix(w, 2), 3, 2)
+        assert not report.passed and report.checks == 1
+        assert report.failures[0].startswith("1 vs 2: u=[")
+        assert "expected" in report.failures[0]
 
 
 def test_fall_distribution_keys_bounded():

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from braidbowl.cabled import index_cable
 from braidbowl.cli import main
-from braidbowl.multiball import state_index
+from braidbowl.multiball import index_state, state_index
 from braidbowl.qpoly import QPoly
 
 
@@ -116,8 +115,8 @@ class TestCabledCommand:
         # at q = 1 nothing falls and all three positions reverse
         assert len(cols) == 27
         for c, r in cols.items():
-            state = index_cable(c, 3, 2)
-            assert index_cable(r, 3, 2) == state[::-1]
+            state = index_state(c, 3, 2)
+            assert index_state(r, 3, 2) == state[::-1]
 
 
 class TestFallCommand:
@@ -195,6 +194,31 @@ class TestCheckCommand:
             capsys, "check", "hecke", "--n", "12", "--max-balls", "3"
         )
         assert code == 2 and "desk-scale" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rho", "1", "--n", "1000000000000", "--max-balls", "1"),
+        ("cabled", "1", "--n", "1000000000000", "--cable", "1"),
+        ("check", "hecke", "--n", "1000000000000"),
+    ],
+)
+def test_huge_strand_count_rejected_before_allocation(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "desk-scale" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fall", "--cable", "1100", "--a", "1", "--b", "0"),
+        ("cabled", "1", "--n", "2", "--cable", "21"),
+    ],
+)
+def test_cable_width_above_cap_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "--cable" in err and out == ""
 
 
 def test_missing_subcommand_is_usage_error():

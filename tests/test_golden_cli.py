@@ -1,0 +1,53 @@
+"""Byte-exact CLI output on a fixed golden set: the sha256 of stdout and the
+exit code of every command below must not change under a refactor."""
+
+import hashlib
+
+import pytest
+
+from braidbowl.cli import main
+
+GOLDEN = [
+    (
+        ("rho", "1 2 1 3 2 1", "--n", "4", "--max-balls", "2"),
+        0, "eb71bfdbac58e3c6cfcb9d35ddbd58bac9cf2b96fb8f4edea6c6dde8b0601da5",
+    ),
+    (
+        ("rho", "1 2 1 3 2 1", "--n", "4", "--max-balls", "2",
+         "--format", "pretty", "--eval-q", "1/2"),
+        0, "32d1827173cee5ea8e09e31dbdd00873855f10e96c27f73144107b87fe5d3a48",
+    ),
+    (
+        ("cabled", "1 2 1 1", "--n", "3", "--cable", "2"),
+        0, "dcd979e610d0637a3baf32da87433d04eac62dbec238251b20d36fd356705d9b",
+    ),
+    (
+        ("cabled", "1 2 1 1", "--n", "3", "--cable", "2", "--format", "pretty"),
+        0, "9d124151dc5deb8cbd5d84eaeacfc1f73e8b2789b7385b48475a4542ee139938",
+    ),
+    (
+        ("fall", "--cable", "3", "--a", "2", "--b", "1"),
+        0, "d6ecb96ed3f70f85eb19f07c2d3f507f99d242c43447474064ea5f023b908a2d",
+    ),
+    (
+        ("fall", "--cable", "3", "--a", "2", "--b", "1", "--format", "pretty"),
+        0, "84c4b550bd5ae10e6f5251b668f01367bdceda958cb697b1dd0af4aaecf00dfa",
+    ),
+    (
+        ("check", "all", "--n", "4", "--max-balls", "2", "--cable", "3",
+         "--format", "json"),
+        0, "9c64bb8231ee4de64d249db0d77191a55ad265926f89ef9b5f0462c0696d4bcf",
+    ),
+    (
+        ("check", "hecke", "--n", "2", "--max-balls", "1", "--corrupt-generator",
+         "--format", "json"),
+        1, "68f196c0db9ae562bff7e013a24efda8a90958d5bea02843f33621465aab7d52",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_cli_output_matches_golden_digest(capsys, argv, code, digest):
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

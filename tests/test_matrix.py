@@ -1,0 +1,65 @@
+"""The sparse apply kernel and ``Matrix @``, checked against a dense
+triple-loop product over both scalar rings."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidbowl.matrix import Matrix, apply
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly
+
+# Small pools with additive inverses, so sums cancel to zero often.  ONE takes
+# the multiplication-free branch of ``apply``; the zeros are dropped on entry.
+QPOLY_VALUES = [ONE, -ONE, Q, -Q, ONE_MINUS_Q, QPoly()]
+FRACTION_VALUES = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(0)]
+
+
+@st.composite
+def matrix_pairs(draw, values):
+    dim = draw(st.integers(1, 3))
+    index = st.integers(0, dim - 1)
+    column = st.dictionaries(index, st.sampled_from(values), max_size=dim)
+    # Columns may be absent, empty, or hold only zeros.
+    matrix = lambda: Matrix(dim, draw(st.dictionaries(index, column, max_size=dim)))
+    return matrix(), matrix()
+
+
+def dense_product(a: Matrix, b: Matrix, zero) -> dict:
+    """Column-major dict of every nonzero entry of a @ b, by triple loop."""
+    cols = {}
+    for j in range(a.dim):
+        for i in range(a.dim):
+            total = zero
+            for r in range(a.dim):
+                x, y = a.entry(i, r), b.entry(r, j)
+                if x is not None and y is not None:
+                    total = total + x * y
+            if total:
+                cols.setdefault(j, {})[i] = total
+    return cols
+
+
+def check_product(a: Matrix, b: Matrix, zero) -> None:
+    expected = dense_product(a, b, zero)
+    for j, bcol in b.cols.items():
+        assert apply(a.cols, bcol) == expected.get(j, {})
+    assert (a @ b).cols == expected
+
+
+@given(matrix_pairs(QPOLY_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_matmul_matches_dense_product_over_qpoly(pair):
+    check_product(*pair, QPoly())
+
+
+@given(matrix_pairs(FRACTION_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_matmul_matches_dense_product_over_fraction(pair):
+    check_product(*pair, Fraction(0))
+
+
+def test_apply_drops_cancelled_entries():
+    cols = {0: {0: ONE, 1: Q}, 1: {0: -ONE, 1: -Q}}
+    assert apply(cols, {0: Q, 1: Q}) == {}
+    assert apply(cols, {0: Q, 1: Q, 2: ONE}) == {}

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidbowl.braid import BraidWord
-from braidbowl.cabled import cable_index, index_cable, rho_cabled_matrix
+from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import apply_generator, index_state, rho_matrix, state_index
 from braidbowl.qpoly import ONE, falling_probability
@@ -66,5 +66,5 @@ def test_rho_matrix_matches_reference_push(word, N):
 @given(words(), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_rho_cabled_matrix_matches_reference_push(word, K):
-    expected = reference_push(word, K, uncached_cabled_rule(K), cable_index, index_cable)
+    expected = reference_push(word, K, uncached_cabled_rule(K), state_index, index_state)
     assert rho_cabled_matrix(word, K) == expected
