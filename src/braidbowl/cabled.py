@@ -1,11 +1,9 @@
 """The cabled representation: every lane becomes K parallel lanes, each
 carrying at most one ball, and the state tracks only the per-group counts.
 
-At a cabled crossing sigma_i with a balls in the over group and b in the
-under group, exactly c balls fall with probability f(c) =
-``falling_probability(K, a, b, c)``; afterwards position i holds b + c balls
-and position i + 1 holds a - c (the over group exits below, the under group
-above, mirroring the single-lane convention in ``multiball``).
+A cabled crossing is ``multiball.crossing`` with another fall distribution:
+with a balls in the over group and b in the under group, exactly c balls
+fall with probability f(c) = ``falling_probability(K, a, b, c)``.
 
 ``crossing_oracle`` recomputes the fall distribution without the closed
 formula, by brute-force branch enumeration over the K^2 micro-crossings of
@@ -26,7 +24,9 @@ from functools import lru_cache
 
 from .braid import BraidWord
 from .matrix import TransitionMatrix
-from .multiball import BallState, braid_pairs, far_pairs, push_columns, record_word_pairs
+from .multiball import (
+    BallState, braid_pairs, crossing, far_pairs, push_columns, record_word_pairs
+)
 from .qpoly import ONE, ONE_MINUS_Q, Q, QPoly, falling_probability, poly_sum
 from .report import CheckReport
 
@@ -57,15 +57,7 @@ def apply_generator_cabled(
     i: int, s: BallState, K: int
 ) -> list[tuple[BallState, QPoly]]:
     """Branches of one cabled crossing sigma_i applied to group counts s."""
-    n = len(s)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    a, b = s[i - 1], s[i]
-    out = []
-    for c, p in fall_distribution(K, a, b).items():
-        state = s[: i - 1] + (b + c, a - c) + s[i + 1 :]
-        out.append((state, p))
-    return out
+    return crossing(i, s, lambda a, b: fall_distribution(K, a, b).items())
 
 
 def rho_cabled_matrix(word: BraidWord, K: int) -> TransitionMatrix:

@@ -44,13 +44,16 @@ class Matrix:
     __slots__ = ("dim", "cols")
 
     def __init__(self, dim: int, cols: dict[int, Column] | None = None):
+        """The one place zero entries are dropped: a column holding a zero
+        is copied without it, and zero-free columns are stored as given, so
+        callers must not mutate them afterwards."""
         self.dim = dim
         self.cols: dict[int, Column] = {}
-        if cols:
-            for j, col in cols.items():
-                clean = {i: v for i, v in col.items() if v}
-                if clean:
-                    self.cols[j] = clean
+        for j, col in (cols or {}).items():
+            if not all(col.values()):
+                col = {i: v for i, v in col.items() if v}
+            if col:
+                self.cols[j] = col
 
     @classmethod
     def identity(cls, dim: int, one=ONE) -> Matrix:
@@ -79,11 +82,7 @@ class Matrix:
             tgt = out.setdefault(j, {})
             for i, v in col.items():
                 acc = tgt.get(i)
-                acc = v if acc is None else acc + v
-                if acc:
-                    tgt[i] = acc
-                elif i in tgt:
-                    del tgt[i]
+                tgt[i] = v if acc is None else acc + v
         return Matrix(self.dim, out)
 
     def scale(self, scalar) -> Matrix:
@@ -109,16 +108,10 @@ class Matrix:
 
     def eval_at(self, x: Fraction) -> Matrix:
         """Evaluate every QPoly entry at q = x, giving a Fraction matrix."""
-        out: dict[int, Column] = {}
-        for j, col in self.cols.items():
-            newcol = {}
-            for i, v in col.items():
-                val = v.eval_at(x)
-                if val:
-                    newcol[i] = val
-            if newcol:
-                out[j] = newcol
-        return Matrix(self.dim, out)
+        return Matrix(
+            self.dim,
+            {j: {i: v.eval_at(x) for i, v in col.items()} for j, col in self.cols.items()},
+        )
 
     def entries_sorted(self) -> Iterator[tuple[int, int, object]]:
         """All nonzero entries as (row, col, value), sorted by (col, row)."""

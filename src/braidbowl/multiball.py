@@ -4,14 +4,13 @@ Model: a word on n strands is a bowling alley with n lanes.  Bowl u_i balls
 into the lane entering at position i, at most N per lane.  At the crossing
 sigma_i the lane entering at position i passes OVER the lane at position i+1
 and exits at position i+1.  If the over lane carries a balls and the under
-lane b:
+lane b, c of them fall into the under lane: position i then holds b + c and
+position i+1 holds a - c (``crossing``).  A model is its fall distribution,
+the weight of each c given (a, b); ``cabled`` is another.  Here:
 
-* a <= b: nothing can fall; the counts ride across, so positions i and i+1
-  swap their entries (weight 1).
-* a > b: with weight q nothing falls (entries swap); with weight 1 - q
-  exactly a - b balls drop to the under lane, which leaves the count tuple
-  unchanged (the over lane keeps b and exits below, the under lane now
-  carries a and exits above).
+* a <= b: nothing falls (c = 0, weight 1), so the counts swap.
+* a > b: nothing falls with weight q (the counts swap), or a - b balls fall
+  with weight 1 - q, which leaves the count tuple unchanged.
 
 States are n-tuples with 0 <= u_i <= N, indexed in mixed radix base N+1.
 ``rho_matrix`` pushes every basis state through the word as a sparse
@@ -28,7 +27,7 @@ the inverse formula sigma^{-1} = q^{-1}(sigma + q - 1) at rational q.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .braid import BraidWord, HeckeElement, specht_element, specht_half
 from .matrix import Matrix, TransitionMatrix, apply, matrices_equal_entry
@@ -64,16 +63,26 @@ def all_states(n: int, N: int):
     return (index_state(idx, n, N) for idx in range((N + 1) ** n))
 
 
+Fall = Callable[[int, int], Iterable[tuple[int, QPoly]]]
+
+
+def crossing(i: int, u: BallState, fall: Fall) -> list[tuple[BallState, QPoly]]:
+    """Branches of the crossing sigma_i on state u: for each (c, p) in
+    ``fall(a, b)``, with a, b the counts at positions i and i+1, the state
+    with b + c at position i and a - c at position i+1, at weight p."""
+    if not 1 <= i < len(u):
+        raise ValueError(f"generator index {i} out of range 1..{len(u) - 1}")
+    a, b = u[i - 1], u[i]
+    return [(u[: i - 1] + (b + c, a - c) + u[i + 1 :], p) for c, p in fall(a, b)]
+
+
+def _single_lane_fall(a: int, b: int) -> tuple[tuple[int, QPoly], ...]:
+    return ((0, ONE),) if a <= b else ((0, Q), (a - b, ONE_MINUS_Q))
+
+
 def apply_generator(i: int, u: BallState) -> list[tuple[BallState, QPoly]]:
     """Branches of one crossing sigma_i applied to state u."""
-    n = len(u)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    a, b = u[i - 1], u[i]
-    swapped = u[: i - 1] + (b, a) + u[i + 1 :]
-    if a <= b:
-        return [(swapped, ONE)]
-    return [(swapped, Q), (u, ONE_MINUS_Q)]
+    return crossing(i, u, _single_lane_fall)
 
 
 def _validate_sizes(n: int, N: int) -> None:
@@ -91,15 +100,20 @@ def push_columns(letters: Sequence[int], n: int, radix: int, rule: Rule) -> Tran
 
     A state is an n-tuple of counts in 0..radix-1, at index ``state_index``.
     ``rule(i, u)`` lists the branches (v, weight) of the crossing sigma_i on
-    state u, with distinct targets v.  The generator columns of each distinct
-    letter are tabulated once from ``rule``, and every basis column is then
-    pushed through the letters with ``apply``.
+    state u, with distinct targets v that differ from u only at positions i
+    and i+1, so a branch's index is u's index with those two digits replaced.
+    Each state is decoded once, the generator columns of each distinct letter
+    are tabulated once from ``rule``, and every basis column is then pushed
+    through the letters with ``apply``.
     """
-    dim, cap = radix**n, radix - 1
+    dim = radix**n
+    states = list(all_states(n, radix - 1))
 
     def column(i: int, s: int) -> dict[int, QPoly]:
-        branches = rule(i, index_state(s, n, cap))
-        return {state_index(v, cap): ONE if w == ONE else w for v, w in branches}
+        u = states[s]
+        lo, hi = radix ** (i - 1), radix**i
+        base = s - u[i - 1] * lo - u[i] * hi
+        return {base + v[i - 1] * lo + v[i] * hi: ONE if w == ONE else w for v, w in rule(i, u)}
 
     gens = {i: {s: column(i, s) for s in range(dim)} for i in set(letters)}
     cols: dict[int, dict[int, QPoly]] = {}
@@ -215,7 +229,7 @@ def check_hecke(n: int, N: int, corrupt: bool = False) -> CheckReport:
     ident = Matrix.identity(dim)
     report = CheckReport(name=f"hecke-quadratic n={n} N={N}")
     for i in range(1, n):
-        m = rho_matrix(BraidWord(n, (i,)), N)
+        m = generator_matrix(i, n, N)
         if corrupt and i == 1:
             m = m + Matrix(dim, {0: {0: ONE}})
         product = (ident.scale(Q) + m) @ (ident - m)
@@ -262,7 +276,7 @@ def check_inverse(n: int, N: int, x: Fraction) -> CheckReport:
     ident = Matrix.identity(dim, one=Fraction(1))
     report = CheckReport(name=f"inverse-formula n={n} N={N} q={x}")
     for i in range(1, n):
-        m = rho_matrix(BraidWord(n, (i,)), N).eval_at(x)
+        m = generator_matrix(i, n, N).eval_at(x)
         candidate = (m + ident.scale(x - 1)).scale(1 / x)
         _record_matrix_equal(report, f"sigma_{i} sigma_{i}^-1", m @ candidate, ident, n, N)
     return report

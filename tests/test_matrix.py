@@ -1,5 +1,6 @@
 """The sparse apply kernel and ``Matrix @``, checked against a dense
-triple-loop product over both scalar rings."""
+triple-loop product over both scalar rings, and the constructor as the one
+place zero entries are dropped."""
 
 from fractions import Fraction
 
@@ -63,3 +64,24 @@ def test_apply_drops_cancelled_entries():
     cols = {0: {0: ONE, 1: Q}, 1: {0: -ONE, 1: -Q}}
     assert apply(cols, {0: Q, 1: Q}) == {}
     assert apply(cols, {0: Q, 1: Q, 2: ONE}) == {}
+
+
+@given(st.sampled_from([QPOLY_VALUES, FRACTION_VALUES]).flatmap(matrix_pairs))
+@settings(max_examples=200, deadline=None)
+def test_difference_with_itself_stores_no_columns(pair):
+    a, _ = pair
+    assert (a - a).cols == {}
+    assert a - a == Matrix(a.dim)
+
+
+def test_eval_at_a_root_drops_that_entry():
+    m = Matrix(2, {0: {0: ONE_MINUS_Q, 1: Q}, 1: {1: ONE_MINUS_Q}})
+    assert m.eval_at(Fraction(1)).cols == {0: {1: Fraction(1)}}
+
+
+def test_constructor_copies_only_columns_holding_a_zero():
+    clean, dirty = {0: ONE, 1: Q}, {0: QPoly(), 1: Q}
+    m = Matrix(2, {0: clean, 1: dirty})
+    assert m.cols[0] is clean
+    assert m.cols[1] == {1: Q}
+    assert dirty == {0: QPoly(), 1: Q}

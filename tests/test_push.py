@@ -1,5 +1,6 @@
 """The tabulated push kernel behind rho_matrix and rho_cabled_matrix, checked
-exactly against the per-column tuple push it replaced."""
+exactly against the per-column tuple push it replaced.  The reference rules
+are written out here, sharing no code with ``multiball.crossing``."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from braidbowl.braid import BraidWord
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.matrix import Matrix
-from braidbowl.multiball import apply_generator, index_state, rho_matrix, state_index
-from braidbowl.qpoly import ONE, falling_probability
+from braidbowl.multiball import index_state, rho_matrix, state_index
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, falling_probability
 
 
 def reference_push(word, cap, rule, encode, decode):
@@ -31,6 +32,15 @@ def reference_push(word, cap, rule, encode, decode):
             dist = nxt
         cols[idx] = {encode(v, cap): w for v, w in dist.items()}
     return Matrix(dim, cols)
+
+
+def multiball_rule(i, u):
+    """The single-lane crossing written out as swap and keep branches."""
+    a, b = u[i - 1], u[i]
+    swapped = u[: i - 1] + (b, a) + u[i + 1 :]
+    if a <= b:
+        return [(swapped, ONE)]
+    return [(swapped, Q), (u, ONE_MINUS_Q)]
 
 
 def uncached_cabled_rule(K):
@@ -59,7 +69,7 @@ def words(draw, max_n=4, max_len=6):
 @given(words(), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_rho_matrix_matches_reference_push(word, N):
-    expected = reference_push(word, N, apply_generator, state_index, index_state)
+    expected = reference_push(word, N, multiball_rule, state_index, index_state)
     assert rho_matrix(word, N) == expected
 
 
