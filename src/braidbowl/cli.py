@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import cabled as cabledmod
 from . import multiball
@@ -109,20 +110,19 @@ def cmd_fall(args) -> int:
     _check_cable(K)
     dist = cabledmod.fall_distribution(K, a, b)
     eval_q = _parse_eval_q(args.eval_q)
+    if eval_q is not None:
+        dist = {c: p.eval_at(eval_q) for c, p in dist.items()}
     if args.format == "json":
         payload = {
             "K": K,
             "a": a,
             "b": b,
-            "dist": {str(c): _value_json(p if eval_q is None else p.eval_at(eval_q), eval_q)
-                     for c, p in dist.items()},
+            "dist": {str(c): _value_json(p, eval_q) for c, p in dist.items()},
         }
         _emit(json.dumps(payload), args.out)
     else:
         lines = [f"K={K} a={a} b={b}"]
-        for c, p in dist.items():
-            shown = p if eval_q is None else p.eval_at(eval_q)
-            lines.append(f"  c={c}: {shown}")
+        lines.extend(f"  c={c}: {p}" for c, p in dist.items())
         _emit("\n".join(lines), args.out)
     return 0
 
@@ -137,50 +137,54 @@ def _specht_cases(n: int, N: int, k: int | None):
                 yield n, Nw, kw
 
 
-def _run_suite(args) -> list[CheckReport]:
-    n, N, K = args.n, args.max_balls, args.cable
-    suite = args.suite
-    reports: list[CheckReport] = []
-    if suite in ("braid", "all"):
-        if n >= 3:
-            reports.append(multiball.check_braid_relation(n, N))
-        if n >= 4:
-            reports.append(multiball.check_far_commutativity(n, N))
-        if n < 3:
-            raise ValueError("braid relation checks need --n >= 3")
-    if suite in ("hecke", "all"):
-        reports.append(multiball.check_hecke(n, N, corrupt=args.corrupt_generator))
-    if suite in ("specht", "all"):
-        if suite == "specht":
-            k = args.k if args.k is not None else 1
-            reports.append(multiball.check_specht(n, N, k))
-        else:
-            for case in _specht_cases(n, N, args.k):
-                reports.append(multiball.check_specht(*case))
+def run_suite(args) -> Iterator[CheckReport]:
+    """The reports of ``args.suite`` at the size in ``args``, one per check, in
+    order.  Raises ValueError on input ``check`` rejects before any check runs;
+    each size cap applies only to the suites that build that size."""
+    n, N, K, suite = args.n, args.max_balls, args.cable, args.suite
+    if n < 2:
+        raise ValueError("--n must be >= 2")
+    if N < 1:
+        raise ValueError("--max-balls must be >= 1")
+    if not 1 <= K <= 4:
+        raise ValueError("--cable must be in 1..4 (oracle enumeration is desk-scale)")
+    if suite != "cabled":
+        _check_dim(N + 1, n)
     if suite in ("cabled", "all"):
-        reports.append(cabledmod.check_cabled_braid_relation(max(n, 3), K))
-        reports.append(cabledmod.check_cabled_formula(K))
+        _check_dim(K + 1, n)
+    if suite in ("braid", "all") and n < 3:
+        raise ValueError("braid relation checks need --n >= 3")
+    return _suite_reports(args)
+
+
+def _suite_reports(args) -> Iterator[CheckReport]:
+    n, N, K, suite = args.n, args.max_balls, args.cable, args.suite
+    if suite in ("braid", "all"):
+        yield multiball.check_braid_relation(n, N)
+        if n >= 4:
+            yield multiball.check_far_commutativity(n, N)
+    if suite in ("hecke", "all"):
+        yield multiball.check_hecke(n, N, corrupt=args.corrupt_generator)
+    if suite == "specht":
+        yield multiball.check_specht(n, N, args.k if args.k is not None else 1)
+    if suite == "all":
+        for case in _specht_cases(n, N, args.k):
+            yield multiball.check_specht(*case)
+    if suite in ("cabled", "all"):
+        yield cabledmod.check_cabled_braid_relation(max(n, 3), K)
+        yield cabledmod.check_cabled_formula(K)
         for a in range(K + 1):
             for b in range(K + 1):
-                reports.append(cabledmod.check_oracle_placement_invariance(K, a, b))
+                yield cabledmod.check_oracle_placement_invariance(K, a, b)
     if suite in ("stochastic", "all"):
-        reports.append(multiball.check_stochastic(n, N))
+        yield multiball.check_stochastic(n, N)
     if suite == "all":
         for x in (Fraction(1, 2), Fraction(2), Fraction(-1)):
-            reports.append(multiball.check_inverse(n, N, x))
-    return reports
+            yield multiball.check_inverse(n, N, x)
 
 
 def cmd_check(args) -> int:
-    if args.n < 2:
-        raise ValueError("--n must be >= 2")
-    if args.max_balls < 1:
-        raise ValueError("--max-balls must be >= 1")
-    if not 1 <= args.cable <= 4:
-        raise ValueError("--cable must be in 1..4 (oracle enumeration is desk-scale)")
-    _check_dim(args.max_balls + 1, args.n)
-    _check_dim(args.cable + 1, args.n)
-    reports = _run_suite(args)
+    reports = list(run_suite(args))
     passed = all(r.passed for r in reports)
     if args.format == "json":
         print(json.dumps({"passed": passed, "reports": [r.to_json() for r in reports]}))
@@ -198,31 +202,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rho = sub.add_parser("rho", help="transition matrix of a word")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--eval-q", help="evaluate entries at rational q (p/q or integer)")
+    output.add_argument("--out", help="write output to a file instead of stdout")
+    output.add_argument("--format", choices=("json", "pretty"), default="json")
+
+    p_rho = sub.add_parser("rho", parents=[output], help="transition matrix of a word")
     p_rho.add_argument("word", help="whitespace-separated generator indices, e.g. '1 2 1'")
     p_rho.add_argument("--n", type=int, required=True, help="number of strands")
     p_rho.add_argument("--max-balls", type=int, required=True, help="per-lane ball cap N")
-    p_rho.add_argument("--eval-q", help="evaluate entries at rational q (p/q or integer)")
-    p_rho.add_argument("--out", help="write output to a file instead of stdout")
-    p_rho.add_argument("--format", choices=("json", "pretty"), default="json")
     p_rho.set_defaults(handler=cmd_rho)
 
-    p_cab = sub.add_parser("cabled", help="cabled transition matrix of a word")
+    p_cab = sub.add_parser("cabled", parents=[output], help="cabled transition matrix of a word")
     p_cab.add_argument("word")
     p_cab.add_argument("--n", type=int, required=True)
     p_cab.add_argument("--cable", type=int, required=True, help="parallel lanes per group K")
-    p_cab.add_argument("--eval-q")
-    p_cab.add_argument("--out")
-    p_cab.add_argument("--format", choices=("json", "pretty"), default="json")
     p_cab.set_defaults(handler=cmd_cabled)
 
-    p_fall = sub.add_parser("fall", help="fall distribution at one cabled crossing")
+    p_fall = sub.add_parser(
+        "fall", parents=[output], help="fall distribution at one cabled crossing"
+    )
     p_fall.add_argument("--cable", type=int, required=True)
     p_fall.add_argument("--a", type=int, required=True, help="balls entering the over group")
     p_fall.add_argument("--b", type=int, required=True, help="balls entering the under group")
-    p_fall.add_argument("--eval-q")
-    p_fall.add_argument("--out")
-    p_fall.add_argument("--format", choices=("json", "pretty"), default="json")
     p_fall.set_defaults(handler=cmd_fall)
 
     p_chk = sub.add_parser("check", help="run exact verification checks")

@@ -282,17 +282,20 @@ def check_inverse(n: int, N: int, x: Fraction) -> CheckReport:
     return report
 
 
-def check_stochastic(
-    n: int, N: int, *, words: int = 100, max_len: int = 8, seed: int = 0
-) -> CheckReport:
-    """Random words: columns sum to 1 and entries respect total ball count."""
+STOCHASTIC_WORDS = 100
+STOCHASTIC_MAX_LEN = 8
+STOCHASTIC_SEED = 0
+
+
+def check_stochastic(n: int, N: int) -> CheckReport:
+    """Seeded random words: columns sum to 1 and entries respect total ball count."""
     import random
 
     _validate_sizes(n, N)
-    rng = random.Random(seed)
-    report = CheckReport(name=f"stochastic n={n} N={N} words={words}")
-    for _ in range(words):
-        length = rng.randint(0, max_len)
+    rng = random.Random(STOCHASTIC_SEED)
+    report = CheckReport(name=f"stochastic n={n} N={N} words={STOCHASTIC_WORDS}")
+    for _ in range(STOCHASTIC_WORDS):
+        length = rng.randint(0, STOCHASTIC_MAX_LEN)
         letters = tuple(rng.randint(1, n - 1) for _ in range(length)) if n > 1 else ()
         word = BraidWord(n, letters)
         m = rho_matrix(word, N)

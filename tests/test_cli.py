@@ -212,6 +212,30 @@ def test_huge_strand_count_rejected_before_allocation(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("check", "hecke", "--n", "11", "--max-balls", "1"),
+        ("check", "cabled", "--n", "9", "--max-balls", "3", "--cable", "1"),
+    ],
+)
+def test_size_cap_applies_only_to_the_size_a_suite_builds(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "ALL CHECKS PASSED" in out and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "all", "--n", "11", "--max-balls", "1"),
+        ("check", "cabled", "--n", "11", "--max-balls", "1", "--cable", "2"),
+    ],
+)
+def test_cable_size_cap_still_rejects_suites_that_build_it(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "3^11" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("fall", "--cable", "1100", "--a", "1", "--b", "0"),
         ("cabled", "1", "--n", "2", "--cable", "21"),
     ],

@@ -221,16 +221,11 @@ class TestProperties:
             return tuple(state)
 
         # q = 1: every crossing swaps; q = 0: swap only when a <= b
+        at1, at0 = m.eval_at(Fraction(1)), m.eval_at(Fraction(0))
         for u in all_states(n, N):
-            col1 = {
-                i: v
-                for i, v in m.eval_at(Fraction(1)).column(state_index(u, N)).items()
-            }
+            col1 = at1.column(state_index(u, N))
             assert col1 == {state_index(run(u, lambda a, b: True), N): 1}
-            col0 = {
-                i: v
-                for i, v in m.eval_at(Fraction(0)).column(state_index(u, N)).items()
-            }
+            col0 = at0.column(state_index(u, N))
             assert col0 == {state_index(run(u, lambda a, b: a <= b), N): 1}
 
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -277,5 +272,5 @@ class TestProperties:
 
 
 def test_stochastic_check_runs():
-    report = check_stochastic(3, 2, words=10, seed=7)
+    report = check_stochastic(3, 2)
     assert report.passed

@@ -1,20 +1,53 @@
-"""Smoke test of the verification driver in ``scripts/``."""
+"""The verification sweep in ``scripts/``."""
 
+import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+from braidbowl import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "run_checks.py"
+REPORT_LINE = re.compile(r"(?:PASS|FAIL) (.*?) +\d+ comparisons +\d+\.\d+s")
 
 
-def test_run_checks_passes_on_a_small_grid():
+def report_names(stdout):
+    return [m.group(1) for m in map(REPORT_LINE.fullmatch, stdout.splitlines()) if m]
+
+
+def check_all_names(capsys):
+    """Report names of ``braidbowl check all --n 3 --max-balls 1 --cable 1``."""
+    assert cli.main(["check", "all", "--n", "3", "--max-balls", "1", "--cable", "1",
+                     "--format", "json"]) == 0
+    return [r["name"] for r in json.loads(capsys.readouterr().out)["reports"]]
+
+
+def test_run_checks_passes_on_a_small_grid(capsys):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_checks.py"),
-         "--max-n", "3", "--max-balls", "1", "--max-cable", "1"],
+        [sys.executable, str(SCRIPT), "--max-n", "3", "--max-balls", "1", "--max-cable", "1"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "ALL CHECKS PASSED"
+    # the one size of this grid runs exactly the CLI's suite, in order
+    assert report_names(proc.stdout) == check_all_names(capsys)
+
+
+def test_run_checks_skips_sizes_the_cli_rejects(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DIM", 10)
+    spec = importlib.util.spec_from_file_location("run_checks", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    code = script.main(["--max-n", "3", "--max-balls", "2", "--max-cable", "1"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    skips = [line for line in out.splitlines() if line.startswith("SKIP")]
+    assert len(skips) == 1 and "--max-balls 2" in skips[0] and "desk-scale" in skips[0]
+    assert report_names(out) == check_all_names(capsys)
