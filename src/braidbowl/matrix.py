@@ -2,7 +2,8 @@
 
 Entries are stored column-major: ``cols[j][i]`` is the (i, j) entry, and zero
 entries are never stored, so dict equality is semantic equality.  Scalars only
-need +, *, unary -, and truthiness, which both QPoly and Fraction provide.
+need +, *, unary -, and truthiness, which both QPoly and Fraction provide;
+``apply`` also runs on the packed ints of ``multiball.push_columns``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .qpoly import ONE, ZERO
+from .qpoly import ONE, ZERO, poly_sum
 
 Column = dict[int, object]
 
@@ -120,15 +121,6 @@ class Matrix:
             for i in sorted(col):
                 yield i, j, col[i]
 
-    def column_sums(self) -> dict[int, object]:
-        sums = {}
-        for j, col in self.cols.items():
-            total = None
-            for v in col.values():
-                total = v if total is None else total + v
-            sums[j] = total
-        return sums
-
     def __repr__(self) -> str:
         nnz = sum(len(c) for c in self.cols.values())
         return f"Matrix(dim={self.dim}, nnz={nnz})"
@@ -139,11 +131,12 @@ class TransitionMatrix(Matrix):
     stored polynomial is nonzero and each column sums to the constant 1."""
 
     def __init__(self, dim: int, cols: dict[int, Column] | None = None):
+        """Raises unless each of the dim columns sums to 1."""
         super().__init__(dim, cols)
-        sums = self.column_sums()
         for j in range(dim):
-            if sums.get(j) != ONE:
-                raise ValueError(f"column {j} sums to {sums.get(j)}, expected 1")
+            total = poly_sum(self.cols.get(j, {}).values())
+            if total != ONE:
+                raise ValueError(f"column {j} sums to {total}, expected 1")
 
 
 def matrices_equal_entry(a: Matrix, b: Matrix) -> tuple[int, int, object, object] | None:

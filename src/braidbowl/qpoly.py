@@ -17,19 +17,26 @@ Validation happens only at the boundary: ``QPoly(...)`` (and the ``of`` and
 coefficient that is not an ``int``.  Results of ``+``, ``-``, ``*`` and
 negation are built from coefficients that are ints by construction, so they
 skip that scan and only strip trailing zeros.
+
+``pack`` and ``unpack`` are the Kronecker codec of the push kernel: a
+polynomial whose coefficients all satisfy |c| < 2^(B-1) is the Python int
+sum c_i 2^(B i), its value at q = 2^B.  Sums and products of packed ints are
+exact as long as every coefficient of the result stays in that range, and
+``digit_width`` picks the B that guarantees it for a given coefficient bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QPoly:
     """A polynomial in q with int coefficients, canonical (no trailing zeros)."""
 
@@ -156,6 +163,57 @@ def _trusted(coeffs: tuple[int, ...]) -> QPoly:
     return p
 
 
+# The memoryview format that reads a signed digit of each width in place, on
+# a little-endian host.  Any other digit is read with from_bytes, several
+# times slower per digit; that matters because a cabled push can have
+# thousands of distinct entries to decode, each with dozens of digits.
+_DIGIT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+
+
+def digit_width(bound: int) -> int:
+    """The packed digit width B for coefficients of absolute value at most
+    ``bound``: the smallest of 8, 16, 32 and 64 with 2^(B-1) > bound, so
+    that ``unpack`` can cast, and above 64 bits the smallest multiple of 8
+    with it."""
+    need = bound.bit_length() + 1
+    for width in (8, 16, 32, 64):
+        if width >= need:
+            return width
+    return -(-need // 8) * 8
+
+
+def pack(p: QPoly, width: int) -> int:
+    """The int sum c_i 2^(width i) of p's coefficients c_i."""
+    out = 0
+    for c in reversed(p.coeffs):
+        out = (out << width) + c
+    return out
+
+
+def unpack(x: int, width: int) -> QPoly:
+    """The polynomial ``pack`` turned into x, given that every coefficient
+    satisfies |c| < 2^(width-1).
+
+    Adding 2^(width-1) to every digit makes each one nonnegative, so the
+    addition carries nothing; XOR with the same bias then leaves every digit
+    as its width-bit two's complement, which is read back in place.
+    """
+    size = width // 8
+    # With d digits, c_(d-1) != 0 and every |c_i| < 2^(width-1) put |x|
+    # strictly between 2^(width (d-1) - 1) and 2^(width d - 1), so its bit
+    # length lies in [width (d-1), width d - 1] and this is d.
+    digits = x.bit_length() // width + 1
+    bias = int.from_bytes((1 << (width - 1)).to_bytes(size, "little") * digits, "little")
+    data = ((x + bias) ^ bias).to_bytes(size * digits, "little")
+    fmt = _DIGIT_FORMATS.get(width)
+    if fmt is not None:
+        return _trusted(tuple(memoryview(data).cast(fmt)))
+    return _trusted(tuple(
+        int.from_bytes(data[k : k + size], "little", signed=True)
+        for k in range(0, len(data), size)
+    ))
+
+
 ZERO = QPoly()
 ONE = QPoly((1,))
 Q = QPoly((0, 1))
@@ -256,7 +314,6 @@ def falling_probability(K: int, a: int, b: int, c: int) -> QPoly:
 
 
 def poly_sum(polys: Iterable[QPoly]) -> QPoly:
-    total = ZERO
-    for p in polys:
-        total = total + p
-    return total
+    """The sum of polys, added coefficient by coefficient in one pass."""
+    columns = itertools.zip_longest(*(p.coeffs for p in polys), fillvalue=0)
+    return _trusted(tuple(map(sum, columns)))

@@ -43,6 +43,15 @@ GOLDEN = [
          "--format", "json"),
         1, "68f196c0db9ae562bff7e013a24efda8a90958d5bea02843f33621465aab7d52",
     ),
+    # Long words whose coefficient bound needs more than 64 bits per digit.
+    (
+        ("rho", " ".join(["1 2"] * 20), "--n", "3", "--max-balls", "2"),
+        0, "7294cba73e21e491009edd5783f2f95a9e451abde86490c2c65e3310d9dd1f7f",
+    ),
+    (
+        ("cabled", " ".join(["1"] * 12), "--n", "2", "--cable", "4"),
+        0, "089ec2f7905fc1b8636194b26fefb72725e9c375208fc1b23738a05c48920278",
+    ),
 ]
 
 

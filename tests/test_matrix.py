@@ -1,13 +1,15 @@
 """The sparse apply kernel and ``Matrix @``, checked against a dense
-triple-loop product over both scalar rings, and the constructor as the one
-place zero entries are dropped."""
+triple-loop product over both scalar rings, the constructor as the one
+place zero entries are dropped, and the column-sum check of
+``TransitionMatrix``."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidbowl.matrix import Matrix, apply
+from braidbowl.matrix import Matrix, TransitionMatrix, apply
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly
 
 # Small pools with additive inverses, so sums cancel to zero often.  ONE takes
@@ -85,3 +87,18 @@ def test_constructor_copies_only_columns_holding_a_zero():
     assert m.cols[0] is clean
     assert m.cols[1] == {1: Q}
     assert dirty == {0: QPoly(), 1: Q}
+
+
+def test_transition_matrix_accepts_columns_summing_to_one():
+    m = TransitionMatrix(2, {0: {0: Q, 1: ONE_MINUS_Q}, 1: {1: ONE}})
+    assert m.cols == {0: {0: Q, 1: ONE_MINUS_Q}, 1: {1: ONE}}
+
+
+def test_transition_matrix_rejects_a_column_summing_to_q():
+    with pytest.raises(ValueError, match=r"^column 1 sums to q, expected 1$"):
+        TransitionMatrix(2, {0: {0: ONE}, 1: {0: Q}})
+
+
+def test_transition_matrix_rejects_a_missing_column():
+    with pytest.raises(ValueError, match=r"^column 1 sums to 0, expected 1$"):
+        TransitionMatrix(2, {0: {0: Q, 1: ONE_MINUS_Q}})

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidbowl import multiball
 from braidbowl.braid import BraidWord, HeckeElement, parse_word, specht_element
-from braidbowl.matrix import Matrix
+from braidbowl.matrix import Matrix, TransitionMatrix
 from braidbowl.multiball import (
     all_states,
     apply_generator,
@@ -23,7 +24,7 @@ from braidbowl.multiball import (
     rho_matrix,
     state_index,
 )
-from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly, poly_sum
 
 
 def column_states(m, u, n, N):
@@ -187,7 +188,7 @@ class TestProperties:
     def test_columns_sum_to_one(self, nw, N):
         n, letters = nw
         m = rho_matrix(BraidWord(n, letters), N)
-        assert all(total == ONE for total in m.column_sums().values())
+        assert all(poly_sum(m.cols.get(j, {}).values()) == ONE for j in range(m.dim))
 
     @given(words, st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
@@ -274,3 +275,46 @@ class TestProperties:
 def test_stochastic_check_runs():
     report = check_stochastic(3, 2)
     assert report.passed
+
+
+def tampered_stochastic_report(monkeypatch, edit):
+    """``check_stochastic(3, 2)`` with ``edit(word, column)`` applied to the
+    column of state (2,0,0) of every matrix; the edits keep its sum 1."""
+    original = multiball.rho_matrix
+    j = state_index((2, 0, 0), 2)
+
+    def rho_matrix_tampered(word, N):
+        m = original(word, N)
+        cols = {k: dict(col) for k, col in m.cols.items()}
+        edit(word, cols[j])
+        return TransitionMatrix(m.dim, cols)
+
+    monkeypatch.setattr(multiball, "rho_matrix", rho_matrix_tampered)
+    return check_stochastic(3, 2)
+
+
+def test_stochastic_check_fails_on_an_entry_that_changes_the_count_multiset(monkeypatch):
+    # (1,1,0) has the ball total of (2,0,0) but another multiset.
+    target = state_index((1, 1, 0), 2)
+
+    def move_one_entry(word, col):
+        col[target] = col.pop(next(iter(col)))
+
+    report = tampered_stochastic_report(monkeypatch, move_one_entry)
+    assert not report.passed
+    assert report.checks == check_stochastic(3, 2).checks
+    assert "count multiset changes [2,0,0] -> [1,1,0]" in report.failures[0]
+
+
+def test_stochastic_check_fails_on_an_entry_above_the_word_length(monkeypatch):
+    same, other = state_index((2, 0, 0), 2), state_index((0, 2, 0), 2)
+
+    def shift_weight_up(word, col):
+        high = Q ** (len(word.letters) + 1)
+        col[same] = col.get(same, QPoly()) + high
+        col[other] = col.get(other, QPoly()) - high
+
+    report = tampered_stochastic_report(monkeypatch, shift_weight_up)
+    assert not report.passed
+    assert report.failures
+    assert all("of degree above the word length" in f for f in report.failures)

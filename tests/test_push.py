@@ -1,7 +1,10 @@
-"""The tabulated push kernel behind rho_matrix and rho_cabled_matrix, checked
-exactly against the per-column tuple push it replaced.  The reference rules
-are written out here, sharing no code with ``multiball.crossing``."""
+"""The tabulated packed-integer push behind rho_matrix and rho_cabled_matrix,
+checked exactly against a per-column push of state tuples in QPoly
+arithmetic, including words on both sides of every digit-width change.  The
+reference rules are written out here, sharing no code with
+``multiball.crossing``."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +12,7 @@ from braidbowl.braid import BraidWord
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import index_state, rho_matrix, state_index
-from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, falling_probability
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, digit_width, falling_probability
 
 
 def reference_push(word, cap, rule, encode, decode):
@@ -78,3 +81,61 @@ def test_rho_matrix_matches_reference_push(word, N):
 def test_rho_cabled_matrix_matches_reference_push(word, K):
     expected = reference_push(word, K, uncached_cabled_rule(K), state_index, index_state)
     assert rho_cabled_matrix(word, K) == expected
+
+
+# Word lengths L on both sides of each change of the push's digit width, which
+# comes from the bound growth^L on every coefficient: growth is the largest
+# total coefficient L1 norm of a generator column, 3 for the single-lane model
+# and 9 and 21 for cabled widths 2 and 3.  Above 64 bits the width grows by 8.
+EDGES = {
+    "single": (multiball_rule, 2, 3, (4, 5, 9, 10, 19, 20, 39, 40, 41)),
+    "cabled K=2": (uncached_cabled_rule(2), 2, 9, (2, 3, 4, 5, 9, 10, 19, 20, 21)),
+    "cabled K=3": (uncached_cabled_rule(3), 3, 21, (1, 2, 3, 4, 7, 8, 14, 15, 16)),
+}
+
+
+@pytest.mark.parametrize("model", EDGES)
+def test_edge_lengths_straddle_every_digit_width(model):
+    rule, cap, growth, lengths = EDGES[model]
+    assert growth == max(
+        sum(abs(c) for _v, w in rule(1, u) for c in w.coeffs)
+        for u in (index_state(idx, 2, cap) for idx in range((cap + 1) ** 2))
+    )
+    steps = {
+        (digit_width(growth**length), digit_width(growth ** (length + 1)))
+        for length in lengths
+        if length + 1 in lengths
+    }
+    assert {(8, 16), (16, 32), (32, 64), (64, 72)} <= steps
+
+
+def edge_word(n, length):
+    """Letter 1 repeated on two strands, letters 1 and 2 alternating on three."""
+    return BraidWord(n, tuple(1 + k % (n - 1) for k in range(length)))
+
+
+@pytest.mark.parametrize("length", EDGES["single"][-1])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [1, 2])
+def test_rho_matrix_at_digit_width_edges(n, N, length):
+    word = edge_word(n, length)
+    expected = reference_push(word, N, multiball_rule, state_index, index_state)
+    assert rho_matrix(word, N) == expected
+
+
+@pytest.mark.parametrize(
+    "K, length", [(K, length) for K in (2, 3) for length in EDGES[f"cabled K={K}"][-1]]
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_rho_cabled_matrix_at_digit_width_edges(n, K, length):
+    word = edge_word(n, length)
+    expected = reference_push(word, K, uncached_cabled_rule(K), state_index, index_state)
+    assert rho_cabled_matrix(word, K) == expected
+
+
+@pytest.mark.parametrize("letters", [(2, 3, 3, 1, 1, 1), (1, 2, 2, 2, 3, 3, 1, 3)])
+def test_rho_cabled_matrix_with_entries_beyond_8_bit_digits(letters):
+    word = BraidWord(4, letters)
+    expected = reference_push(word, 3, uncached_cabled_rule(3), state_index, index_state)
+    assert max(abs(c) for _i, _j, v in expected.entries_sorted() for c in v.coeffs) >= 2**7
+    assert rho_cabled_matrix(word, 3) == expected

@@ -13,15 +13,18 @@ from braidbowl.qpoly import (
     Q,
     ZERO,
     QPoly,
+    digit_width,
     falling_probability,
     fraction_from_json,
     fraction_to_json,
     gauss_binom,
     inversions_binary,
     inversions_perm,
+    pack,
     poly_sum,
     q_factorial,
     quantum_int,
+    unpack,
 )
 
 polys = st.builds(QPoly, st.lists(st.integers(-9, 9), max_size=6).map(tuple))
@@ -75,6 +78,15 @@ class TestRing:
         assert a + ZERO == a
         assert a * ONE == a
         assert a + (-a) == ZERO
+
+    @given(st.lists(polys, max_size=6))
+    @settings(max_examples=60)
+    def test_poly_sum_is_repeated_addition(self, ps):
+        total = ZERO
+        for p in ps:
+            total = total + p
+        assert poly_sum(ps) == total
+        assert poly_sum(iter(ps)) == total
 
 
 class TestEval:
@@ -223,3 +235,46 @@ def test_constructor_rejects_non_int_coefficients():
         QPoly((1.5,))
     with pytest.raises(TypeError):
         QPoly.of(1, Fraction(1, 2))
+
+
+class TestPackedCodec:
+    WIDTHS = (8, 16, 24, 32, 64, 72)
+
+    @given(st.sampled_from(WIDTHS), st.data())
+    @settings(max_examples=200)
+    def test_round_trip_up_to_the_digit_bound(self, width, data):
+        top = 2 ** (width - 1) - 1
+        extreme = st.sampled_from([top, -top, 1, -1, 0])
+        coeffs = data.draw(st.lists(st.integers(-top, top) | extreme, max_size=8))
+        p = QPoly(tuple(coeffs))
+        assert unpack(pack(p, width), width) == p
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_round_trip_of_extreme_digits(self, width):
+        top = 2 ** (width - 1) - 1
+        for coeffs in [(top,), (-top,), (top, -top) * 3, (-top, top, -top), (0, 0, -1), (-1,) * 5]:
+            assert unpack(pack(QPoly(coeffs), width), width) == QPoly(coeffs)
+
+    def test_zero_packs_to_zero(self):
+        assert pack(ZERO, 8) == 0
+        assert unpack(0, 8) == ZERO
+
+    def test_packed_arithmetic_is_polynomial_arithmetic(self):
+        a, b = QPoly.of(3, -2, 1), QPoly.of(-1, 0, 5)
+        assert unpack(pack(a, 16) * pack(b, 16) + pack(a, 16), 16) == a * b + a
+
+    # Every width digit_width may return, in increasing order.
+    WIDTH_STEPS = [8, 16, 32, 64] + list(range(72, 272, 8))
+
+    def test_width_is_the_smallest_step_with_a_sign_bit_above_the_bound(self):
+        for k in range(200):
+            for bound in (2**k - 1, 2**k, 2**k + 1):
+                width = digit_width(bound)
+                assert 2 ** (width - 1) > bound
+                step = self.WIDTH_STEPS.index(width)
+                assert step == 0 or 2 ** (self.WIDTH_STEPS[step - 1] - 1) <= bound
+
+    def test_width_steps_up_at_the_bound_it_cannot_hold(self):
+        for width, wider in zip(self.WIDTH_STEPS, self.WIDTH_STEPS[1:]):
+            assert digit_width(2 ** (width - 1) - 1) == width
+            assert digit_width(2 ** (width - 1)) == wider
