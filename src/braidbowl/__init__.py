@@ -24,7 +24,6 @@ from .cabled import (
     crossing_oracle,
     fall_distribution,
     rho_cabled_matrix,
-    sweep_order,
 )
 from .matrix import Matrix, TransitionMatrix
 from .multiball import (

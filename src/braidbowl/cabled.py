@@ -5,16 +5,15 @@ A cabled crossing is ``multiball.crossing`` with another fall distribution:
 with a balls in the over group and b in the under group, exactly c balls
 fall with probability f(c) = ``falling_probability(K, a, b, c)``.
 
-``crossing_oracle`` recomputes the fall distribution without the closed
-formula, by brute-force branch enumeration over the K^2 micro-crossings of
-one cabled crossing: upper lanes are swept starting from the side that meets
-the under group first, each passing over the under lanes in the order it
-meets them, and every pass of a ball over an empty lane branches into fall
-(weight 1 - q, the ball stops in that lane) and pass (weight q).  This is an
-independent computation path used to validate the formula, and the micro
-crossing order and the initial ball placement provably do not matter, which
-``check_oracle_placement_invariance`` and the order tests confirm rather
-than assume.
+``cable_word`` makes the cabling literal: it replaces every lane by K
+single-ball lanes and every crossing by its K^2 micro-crossings, so the lane
+level of a cabled word is the single-lane (N=1) model on the cabled word.
+``crossing_oracle`` reads the fall distribution off that model: it sums the
+N=1 column of one 0/1 lane placement by the number of balls that fell.  It
+shares no code with the closed formula, which ``check_cabled_formula``
+compares it against, and ``check_oracle_placement_invariance`` confirms
+rather than assumes that the initial choice of occupied lanes does not
+matter.
 """
 
 from __future__ import annotations
@@ -25,13 +24,13 @@ from functools import lru_cache
 from .braid import BraidWord
 from .matrix import TransitionMatrix
 from .multiball import (
-    BallState, braid_pairs, crossing, far_pairs, push_columns, record_word_pairs
+    BallState, braid_pairs, crossing, far_pairs, index_state, push_columns,
+    record_word_pairs, rho_matrix, state_index,
 )
-from .qpoly import ONE, ONE_MINUS_Q, Q, QPoly, falling_probability, poly_sum
+from .qpoly import ONE, QPoly, falling_probability, poly_sum
 from .report import CheckReport
 
 FallDistribution = dict[int, QPoly]
-MicroOrder = list[tuple[int, int]]
 
 
 def fall_distribution(K: int, a: int, b: int) -> FallDistribution:
@@ -69,11 +68,22 @@ def rho_cabled_matrix(word: BraidWord, K: int) -> TransitionMatrix:
     )
 
 
-def sweep_order(K: int) -> MicroOrder:
-    """Default micro-crossing linearization: upper lanes from the side that
-    reaches the under group first (index K-1), each crossing under lanes in
-    the order met (index 0 first)."""
-    return [(p, l) for p in reversed(range(K)) for l in range(K)]
+def cable_word(word: BraidWord, K: int) -> BraidWord:
+    """The word on nK single-ball lanes that replaces each lane of ``word`` by
+    K parallel lanes.  Group i holds lanes (i-1)K+1..iK.  Each sigma_i becomes
+    its K^2 micro-crossings: the upper lanes p from K-1 down to 0 (the side that
+    meets the under group first), each passing the under lanes l = 0..K-1 in
+    the order met, as the letter (i-1)K + p + l + 1."""
+    letters = [
+        (i - 1) * K + p + l + 1 for i in word.letters for p in reversed(range(K)) for l in range(K)
+    ]
+    return BraidWord(word.n * K, tuple(letters))
+
+
+@lru_cache(maxsize=None)
+def _lane_matrix(K: int) -> TransitionMatrix:
+    """The single-lane (N=1) matrix of one cabled crossing sigma_1 on 2K lanes."""
+    return rho_matrix(cable_word(BraidWord(2, (1,)), K), 1)
 
 
 def crossing_oracle(
@@ -83,13 +93,13 @@ def crossing_oracle(
     *,
     upper: tuple[bool, ...] | None = None,
     lower: tuple[bool, ...] | None = None,
-    order: MicroOrder | None = None,
 ) -> FallDistribution:
-    """Lane-level enumeration of one cabled crossing.
+    """The fall distribution of one cabled crossing, read off the lane level.
 
-    ``upper``/``lower`` fix which lanes start occupied (default: the first a
-    upper and first b under lanes); ``order`` fixes the micro-crossing
-    linearization.  Both are exposed so the invariance checks can vary them.
+    ``upper``/``lower`` fix which of the K lanes of the over and under group
+    start occupied (default: the first a and the first b).  The column of that
+    0/1 lane state in ``_lane_matrix(K)`` is summed by c, the number of balls
+    in the first K lanes of the target minus b.
     """
     if K < 1:
         raise ValueError(f"cable width must be >= 1, got {K}")
@@ -101,42 +111,12 @@ def crossing_oracle(
         lower = tuple(l < b for l in range(K))
     if sum(upper) != a or sum(lower) != b or len(upper) != K or len(lower) != K:
         raise ValueError("placement masks must match K, a, b")
-    if order is None:
-        order = sweep_order(K)
-    if sorted(order) != sorted((p, l) for p in range(K) for l in range(K)):
-        raise ValueError("order must linearize all K^2 micro-crossings exactly once")
 
-    # Branch states: (upper occupancy, lower occupancy) -> accumulated weight.
-    states: dict[tuple[tuple[bool, ...], tuple[bool, ...]], QPoly] = {
-        (upper, lower): ONE
-    }
-    for p, l in order:
-        nxt: dict[tuple[tuple[bool, ...], tuple[bool, ...]], QPoly] = {}
-
-        def accumulate(key, w):
-            acc = nxt.get(key)
-            total = w if acc is None else acc + w
-            if total:
-                nxt[key] = total
-            elif key in nxt:
-                del nxt[key]
-
-        for (up, lo), w in states.items():
-            if up[p] and not lo[l]:
-                fallen_up = up[:p] + (False,) + up[p + 1 :]
-                fallen_lo = lo[:l] + (True,) + lo[l + 1 :]
-                accumulate((fallen_up, fallen_lo), w * ONE_MINUS_Q)
-                accumulate((up, lo), w * Q)
-            else:
-                accumulate((up, lo), w)
-        states = nxt
-
-    dist: FallDistribution = {}
-    for (up, _lo), w in states.items():
-        c = a - sum(up)
-        acc = dist.get(c)
-        dist[c] = w if acc is None else acc + w
-    return {c: w for c, w in sorted(dist.items()) if w}
+    column = _lane_matrix(K).cols[state_index(upper + lower, 1)]
+    dist: dict[int, list[QPoly]] = {}
+    for t, w in column.items():
+        dist.setdefault(sum(index_state(t, 2 * K, 1)[:K]) - b, []).append(w)
+    return {c: poly_sum(ws) for c, ws in sorted(dist.items())}
 
 
 def check_cabled_formula(K: int) -> CheckReport:

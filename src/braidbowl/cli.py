@@ -147,7 +147,7 @@ def run_suite(args) -> Iterator[CheckReport]:
     if N < 1:
         raise ValueError("--max-balls must be >= 1")
     if not 1 <= K <= 4:
-        raise ValueError("--cable must be in 1..4 (oracle enumeration is desk-scale)")
+        raise ValueError("--cable must be in 1..4 (placement enumeration is desk-scale)")
     if suite != "cabled":
         _check_dim(N + 1, n)
     if suite in ("cabled", "all"):

@@ -108,10 +108,13 @@ class Matrix:
         return Matrix(self.dim, {j: apply(self.cols, bcol) for j, bcol in other.cols.items()})
 
     def eval_at(self, x: Fraction) -> Matrix:
-        """Evaluate every QPoly entry at q = x, giving a Fraction matrix."""
+        """Evaluate every QPoly entry at q = x, giving a Fraction matrix.
+        Each distinct entry is evaluated once."""
+        distinct = {v for col in self.cols.values() for v in col.values()}
+        value = {v: v.eval_at(x) for v in distinct}
         return Matrix(
             self.dim,
-            {j: {i: v.eval_at(x) for i, v in col.items()} for j, col in self.cols.items()},
+            {j: {i: value[v] for i, v in col.items()} for j, col in self.cols.items()},
         )
 
     def entries_sorted(self) -> Iterator[tuple[int, int, object]]:

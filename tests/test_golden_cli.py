@@ -39,6 +39,10 @@ GOLDEN = [
         0, "9c64bb8231ee4de64d249db0d77191a55ad265926f89ef9b5f0462c0696d4bcf",
     ),
     (
+        ("check", "cabled", "--n", "3", "--cable", "4", "--format", "json"),
+        0, "5d347cf2ae00e066148abeebae3b91cea2b7327cea750ac5743f11a026ca0666",
+    ),
+    (
         ("check", "hecke", "--n", "2", "--max-balls", "1", "--corrupt-generator",
          "--format", "json"),
         1, "68f196c0db9ae562bff7e013a24efda8a90958d5bea02843f33621465aab7d52",
