@@ -134,10 +134,6 @@ class HeckeElement:
         canon = tuple(sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0].letters)))
         object.__setattr__(self, "terms", canon)
 
-    @classmethod
-    def from_terms(cls, n: int, items: dict[BraidWord, QPoly]) -> HeckeElement:
-        return cls(n, tuple(items.items()))
-
     def coefficient(self, word: BraidWord) -> QPoly:
         for w, c in self.terms:
             if w == word:
@@ -167,14 +163,16 @@ def _check_window_args(n: int, N: int, k: int) -> None:
         raise ValueError(f"window start k={k} out of range 1..{n - N - 1}")
 
 
+def _signed_sum(n: int, perms) -> HeckeElement:
+    """The sum of sign(w) times the minimal braid of w over the permutations w."""
+    return HeckeElement(n, tuple((minimal_braid(w), sign(w) * ONE) for w in perms))
+
+
 def specht_element(n: int, N: int, k: int) -> HeckeElement:
     """Alternating sum of the (N+2)! minimal permutation braids of the window
     {k, ..., k+N+1}, each with coefficient sign(w)."""
     _check_window_args(n, N, k)
-    terms = {}
-    for w in _window_permutations(n, N, k):
-        terms[minimal_braid(w)] = sign(w) * ONE
-    return HeckeElement.from_terms(n, terms)
+    return _signed_sum(n, _window_permutations(n, N, k))
 
 
 def specht_half(n: int, N: int, k: int, i: int) -> HeckeElement:
@@ -182,8 +180,4 @@ def specht_half(n: int, N: int, k: int, i: int) -> HeckeElement:
     _check_window_args(n, N, k)
     if not k <= i <= k + N:
         raise ValueError(f"position i={i} out of window range {k}..{k + N}")
-    terms = {}
-    for w in _window_permutations(n, N, k):
-        if w[i - 1] < w[i]:
-            terms[minimal_braid(w)] = sign(w) * ONE
-    return HeckeElement.from_terms(n, terms)
+    return _signed_sum(n, (w for w in _window_permutations(n, N, k) if w[i - 1] < w[i]))

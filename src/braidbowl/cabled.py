@@ -27,7 +27,7 @@ from .multiball import (
     BallState, braid_pairs, crossing, far_pairs, index_state, push_columns,
     record_word_pairs, rho_matrix, state_index,
 )
-from .qpoly import ONE, QPoly, falling_probability, poly_sum
+from .qpoly import ONE, QPoly, falling_probability, poly_sum, validate_cable
 from .report import CheckReport
 
 FallDistribution = dict[int, QPoly]
@@ -37,10 +37,7 @@ def fall_distribution(K: int, a: int, b: int) -> FallDistribution:
     """Closed-form distribution of the number of falling balls at one
     cabled crossing; keys range over 0..min(a, K-b).  Returns a fresh dict
     on every call."""
-    if K < 1:
-        raise ValueError(f"cable width must be >= 1, got {K}")
-    if not 0 <= a <= K or not 0 <= b <= K:
-        raise ValueError(f"need 0 <= a, b <= K, got a={a}, b={b}, K={K}")
+    validate_cable(K, a, b)
     return dict(_fall_items(K, a, b))
 
 
@@ -61,10 +58,9 @@ def apply_generator_cabled(
 
 def rho_cabled_matrix(word: BraidWord, K: int) -> TransitionMatrix:
     """Transition matrix of a word on group-count states, dimension (K+1)^n."""
-    if K < 1:
-        raise ValueError(f"cable width must be >= 1, got {K}")
+    validate_cable(K)
     return push_columns(
-        word.letters, word.n, K + 1, lambda i, s: apply_generator_cabled(i, s, K)
+        ((word, ONE),), word.n, K + 1, lambda i, s: apply_generator_cabled(i, s, K)
     )
 
 
@@ -101,10 +97,7 @@ def crossing_oracle(
     0/1 lane state in ``_lane_matrix(K)`` is summed by c, the number of balls
     in the first K lanes of the target minus b.
     """
-    if K < 1:
-        raise ValueError(f"cable width must be >= 1, got {K}")
-    if not 0 <= a <= K or not 0 <= b <= K:
-        raise ValueError(f"need 0 <= a, b <= K, got a={a}, b={b}, K={K}")
+    validate_cable(K, a, b)
     if upper is None:
         upper = tuple(p < a for p in range(K))
     if lower is None:

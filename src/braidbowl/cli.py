@@ -79,15 +79,19 @@ def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
     m = build(word)
     if eval_q is not None:
         m = m.eval_at(eval_q)
+    # Equal entries share one object (from the push or eval_at): format each once.
+    fmt = (lambda v: _value_json(v, eval_q)) if args.format == "json" else str
+    distinct = {id(v): v for col in m.cols.values() for v in col.values()}
+    shown = {key: fmt(v) for key, v in distinct.items()}
+    entries = [(row, col, shown[id(v)]) for row, col, v in m.entries_sorted()]
     meta = {"n": args.n, cap_name: cap}
     if args.format == "json":
-        entries = [[row, col, _value_json(v, eval_q)] for row, col, v in m.entries_sorted()]
         _emit(json.dumps({**meta, "dim": m.dim, "entries": entries}), args.out)
     else:
         state = lambda idx: list(multiball.index_state(idx, args.n, cap))
         lines = [f"n={args.n} {cap_name}={cap} word='{word}' dim={m.dim}"]
-        for row, col, v in m.entries_sorted():
-            lines.append(f"  u={state(col)} -> v={state(row)}: {v}")
+        for row, col, text in entries:
+            lines.append(f"  u={state(col)} -> v={state(row)}: {text}")
         _emit("\n".join(lines), args.out)
     return 0
 
@@ -146,11 +150,11 @@ def run_suite(args) -> Iterator[CheckReport]:
         raise ValueError("--n must be >= 2")
     if N < 1:
         raise ValueError("--max-balls must be >= 1")
-    if not 1 <= K <= 4:
-        raise ValueError("--cable must be in 1..4 (placement enumeration is desk-scale)")
     if suite != "cabled":
         _check_dim(N + 1, n)
     if suite in ("cabled", "all"):
+        if not 1 <= K <= 4:
+            raise ValueError("--cable must be in 1..4 (placement enumeration is desk-scale)")
         _check_dim(K + 1, n)
     if suite in ("braid", "all") and n < 3:
         raise ValueError("braid relation checks need --n >= 3")

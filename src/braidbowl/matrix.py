@@ -93,10 +93,7 @@ class Matrix:
         )
 
     def __neg__(self) -> Matrix:
-        return Matrix(
-            self.dim,
-            {j: {i: -v for i, v in col.items()} for j, col in self.cols.items()},
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: Matrix) -> Matrix:
         return self + (-other)
@@ -130,16 +127,17 @@ class Matrix:
 
 
 class TransitionMatrix(Matrix):
-    """A matrix whose columns are exact probability distributions: every
-    stored polynomial is nonzero and each column sums to the constant 1."""
+    """A matrix each of whose columns sums to ``total``: 1 for a word, whose
+    columns are then exact probability distributions, and sum_t c_t (0 for a
+    Specht element) for sum_t c_t w_t, whose matrix is not stochastic."""
 
-    def __init__(self, dim: int, cols: dict[int, Column] | None = None):
-        """Raises unless each of the dim columns sums to 1."""
+    def __init__(self, dim: int, cols: dict[int, Column] | None = None, total=ONE):
+        """Raises unless each of the dim columns sums to ``total``."""
         super().__init__(dim, cols)
         for j in range(dim):
-            total = poly_sum(self.cols.get(j, {}).values())
-            if total != ONE:
-                raise ValueError(f"column {j} sums to {total}, expected 1")
+            got = poly_sum(self.cols.get(j, {}).values())
+            if got != total:
+                raise ValueError(f"column {j} sums to {got}, expected {total}")
 
 
 def matrices_equal_entry(a: Matrix, b: Matrix) -> tuple[int, int, object, object] | None:

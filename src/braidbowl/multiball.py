@@ -15,7 +15,9 @@ the weight of each c given (a, b); ``cabled`` is another.  Here:
 States are n-tuples with 0 <= u_i <= N, indexed in mixed radix base N+1.
 ``rho_matrix`` pushes every basis state through the word as a sparse
 distribution; the (v, u) entry of the result is the probability that bowling
-u collects v.  Composition convention: the matrix of w_1 ... w_m is
+u collects v.  rho is linear: ``rho_element`` of sum_t c_t w_t is one push
+(``push_columns``) whose column j starts at c_t for term t, so columns sum
+to sum_t c_t.  Composition convention: the matrix of w_1 ... w_m is
 M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.
 
 The check_* functions verify, in exact arithmetic, the braid relation, far
@@ -27,11 +29,12 @@ the inverse formula sigma^{-1} = q^{-1}(sigma + q - 1) at rational q.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .braid import BraidWord, HeckeElement, specht_element, specht_half
 from .matrix import Matrix, TransitionMatrix, apply, matrices_equal_entry
-from .qpoly import ONE, ONE_MINUS_Q, Q, QPoly, digit_width, pack, unpack
+from .qpoly import ONE, ONE_MINUS_Q, Q, QPoly, digit_width, pack, poly_sum, unpack
 from .report import CheckReport
 
 BallState = tuple[int, ...]
@@ -95,22 +98,26 @@ def _validate_sizes(n: int, N: int) -> None:
 Rule = Callable[[int, BallState], list[tuple[BallState, QPoly]]]
 
 
-def push_columns(letters: Sequence[int], n: int, radix: int, rule: Rule) -> TransitionMatrix:
-    """The transition matrix of a positive word on count-tuple states.
+def push_columns(
+    terms: Sequence[tuple[BraidWord, QPoly]], n: int, radix: int, rule: Rule
+) -> TransitionMatrix:
+    """The matrix of a combination sum_t c_t w_t of positive words on
+    count-tuple states; a word w is the one term (w, ONE).
 
     A state is an n-tuple of counts in 0..radix-1, at index ``state_index``.
     ``rule(i, u)`` lists the branches (v, weight) of the crossing sigma_i on
     state u, with distinct targets v that differ from u only at positions i
     and i+1, so a branch's index is u's index with those two digits replaced.
     Each state is decoded once, and the generator columns of each distinct
-    letter are tabulated once from ``rule``.
+    letter of all the terms are tabulated once from ``rule``.
 
-    Every basis column is then pushed through the letters with ``apply`` on
-    packed ints (``qpoly.pack``).  A generator column's weights have total
-    coefficient L1 norm at most ``growth``, so by the triangle inequality no
-    coefficient of any partial sum exceeds growth^len(letters), which sets
-    the digit width.  Each distinct weight is packed once, and each distinct
-    entry of the result is decoded once into a shared ``QPoly``.
+    Column j of term t starts as {j: c_t}, is pushed through w_t with
+    ``apply`` on packed ints (``qpoly.pack``), and ``apply`` sums the terms.
+    A generator column's weights have total coefficient L1 norm at most
+    ``growth``, so by the triangle inequality no coefficient of any partial or
+    total sum exceeds sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum of
+    |coefficient|), which sets the digit width.  Each distinct weight is
+    packed once, and each distinct entry is decoded once into a shared QPoly.
     """
     dim = radix**n
     states = list(all_states(n, radix - 1))
@@ -121,33 +128,36 @@ def push_columns(letters: Sequence[int], n: int, radix: int, rule: Rule) -> Tran
         base = s - u[i - 1] * lo - u[i] * hi
         return {base + v[i - 1] * lo + v[i] * hi: w for v, w in rule(i, u)}
 
-    gens = {i: {s: column(i, s) for s in range(dim)} for i in set(letters)}
+    letters = {i for word, _c in terms for i in word.letters}
+    gens = {i: {s: column(i, s) for s in range(dim)} for i in letters}
     columns = [col for table in gens.values() for col in table.values()]
-    growth = max(
-        (sum(abs(c) for w in col.values() for c in w.coeffs) for col in columns), default=1
-    )
-    width = digit_width(growth ** len(letters))
+    l1 = lambda p: sum(map(abs, p.coeffs))
+    growth = max((sum(map(l1, col.values())) for col in columns), default=1)
+    width = digit_width(sum(l1(c) * growth ** len(word) for word, c in terms))
     packed = {w: pack(w, width) for w in {w for col in columns for w in col.values()}}
     packed_gens = {
         i: {s: {t: packed[w] for t, w in col.items()} for s, col in table.items()}
         for i, table in gens.items()
     }
+    starts = [(word.letters, pack(c, width)) for word, c in terms]
+    step = lambda dist, i: apply(packed_gens[i], dist)
+    ones = dict.fromkeys(range(len(starts)), 1)
     cols: dict[int, dict[int, int]] = {}
     for j in range(dim):
-        dist = {j: 1}
-        for i in letters:
-            dist = apply(packed_gens[i], dist)
-        cols[j] = dist
+        pushed = {t: reduce(step, word, {j: c}) for t, (word, c) in enumerate(starts)}
+        cols[j] = pushed[0] if len(starts) == 1 else apply(pushed, ones)
     decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, cols.values()))}
     return TransitionMatrix(
-        dim, {j: {t: decoded[x] for t, x in col.items()} for j, col in cols.items()}
+        dim,
+        {j: {t: decoded[x] for t, x in col.items()} for j, col in cols.items()},
+        poly_sum(c for _word, c in terms),
     )
 
 
 def rho_matrix(word: BraidWord, N: int) -> TransitionMatrix:
     """The transition matrix of a word, built column by column."""
     _validate_sizes(word.n, N)
-    return push_columns(word.letters, word.n, N + 1, apply_generator)
+    return push_columns(((word, ONE),), word.n, N + 1, apply_generator)
 
 
 def generator_matrix(i: int, n: int, N: int) -> TransitionMatrix:
@@ -157,10 +167,7 @@ def generator_matrix(i: int, n: int, N: int) -> TransitionMatrix:
 def rho_element(x: HeckeElement, N: int) -> Matrix:
     """Linear extension: the matrix of a formal combination of words."""
     _validate_sizes(x.n, N)
-    out = Matrix((N + 1) ** x.n)
-    for word, coeff in x.terms:
-        out = out + rho_matrix(word, N).scale(coeff)
-    return out
+    return push_columns(x.terms, x.n, N + 1, apply_generator)
 
 
 def _fmt_state(u: BallState) -> str:
@@ -310,8 +317,8 @@ def check_stochastic(n: int, N: int) -> CheckReport:
     """Seeded random words: every entry of a column conserves the count
     multiset of its state, and every entry has degree at most the word length.
 
-    Column sums of 1 need no check here: ``rho_matrix`` returns a
-    ``TransitionMatrix``, which raises unless every column sums to 1.
+    Column sums of 1 need no check here: ``rho_matrix`` pushes (word, ONE), so
+    ``push_columns`` passes the total 1 to ``TransitionMatrix``, which checks it.
     """
     import random
 

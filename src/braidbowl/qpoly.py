@@ -285,6 +285,14 @@ def inversions_binary(s: Sequence[int]) -> int:
     return count
 
 
+def validate_cable(K: int, a: int = 0, b: int = 0) -> None:
+    """Raise unless cable width K >= 1 and over/under group counts a, b lie in 0..K."""
+    if K < 1:
+        raise ValueError(f"cable width must be >= 1, got {K}")
+    if not 0 <= a <= K or not 0 <= b <= K:
+        raise ValueError(f"need 0 <= a, b <= K, got a={a}, b={b}, K={K}")
+
+
 def falling_probability(K: int, a: int, b: int, c: int) -> QPoly:
     """Probability, as a polynomial in q, that exactly c balls fall at one
     cabled crossing of width K when a balls enter the over group and b the
@@ -298,12 +306,7 @@ def falling_probability(K: int, a: int, b: int, c: int) -> QPoly:
     as multiplication, so the result stays in Z[q].  Vanishes when c > a or
     c > K - b (no way to pick the falling balls or the lanes they land in).
     """
-    if K < 1:
-        raise ValueError(f"cable width must be >= 1, got {K}")
-    if not 0 <= a <= K:
-        raise ValueError(f"need 0 <= a <= K, got a={a}, K={K}")
-    if not 0 <= b <= K:
-        raise ValueError(f"need 0 <= b <= K, got b={b}, K={K}")
+    validate_cable(K, a, b)
     if c < 0:
         raise ValueError(f"need c >= 0, got c={c}")
     if c > a or c > K - b:

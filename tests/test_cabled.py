@@ -286,3 +286,20 @@ def test_fall_distribution_returns_a_fresh_dict():
 def test_fall_distribution_rejects_counts_outside_cable(K, a, b):
     with pytest.raises(ValueError):
         fall_distribution(K, a, b)
+
+
+BAD_CABLE_CALLS = {
+    "falling_probability K=0": lambda: falling_probability(0, 0, 0, 0),
+    "falling_probability a=K+1": lambda: falling_probability(2, 3, 0, 0),
+    "fall_distribution K=0": lambda: fall_distribution(0, 0, 0),
+    "fall_distribution a=K+1": lambda: fall_distribution(2, 3, 0),
+    "crossing_oracle K=0": lambda: crossing_oracle(0, 0, 0),
+    "crossing_oracle a=K+1": lambda: crossing_oracle(2, 3, 0),
+    "rho_cabled_matrix K=0": lambda: rho_cabled_matrix(BraidWord(2, (1,)), 0),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CABLE_CALLS)
+def test_every_cabled_entry_point_rejects_a_bad_width_or_count(case):
+    with pytest.raises(ValueError, match=r"^cable width must be >= 1|^need 0 <= a, b <= K"):
+        BAD_CABLE_CALLS[case]()

@@ -1,12 +1,15 @@
 """CLI surface: JSON schemas, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from braidbowl.braid import parse_word
+from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.cli import main
-from braidbowl.multiball import index_state, state_index
-from braidbowl.qpoly import QPoly
+from braidbowl.multiball import index_state, rho_matrix, state_index
+from braidbowl.qpoly import QPoly, fraction_to_json
 
 
 def run(capsys, *argv):
@@ -243,6 +246,35 @@ def test_cable_size_cap_still_rejects_suites_that_build_it(capsys, argv):
 def test_cable_width_above_cap_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and "--cable" in err and out == ""
+
+
+def test_cable_range_applies_only_to_suites_that_build_cabled_matrices(capsys):
+    code, out, err = run(capsys, "check", "hecke", "--n", "3", "--max-balls", "1", "--cable", "5")
+    assert code == 0 and "ALL CHECKS PASSED" in out and err == ""
+    for suite in ("cabled", "all"):
+        code, out, err = run(capsys, "check", suite, "--n", "3", "--cable", "5")
+        assert code == 2 and "--cable" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (("rho", "1 2 1 3 2", "--n", "4", "--max-balls", "2"), lambda w: rho_matrix(w, 2)),
+        (("cabled", "1 2 1", "--n", "3", "--cable", "2"), lambda w: rho_cabled_matrix(w, 2)),
+    ],
+)
+@pytest.mark.parametrize("q", ["1/2", "1", "-3"])
+def test_evaluated_output_matches_each_entry_evaluated_and_formatted(capsys, argv, build, q):
+    """The CLI evaluates and formats each distinct entry once; the reference
+    evaluates the whole matrix and formats every entry on its own."""
+    m = build(parse_word(argv[1], int(argv[3]))).eval_at(Fraction(q))
+    _, out, _ = run(capsys, *argv, "--eval-q", q)
+    expected = [[i, j, fraction_to_json(v)] for i, j, v in m.entries_sorted()]
+    assert json.loads(out)["entries"] == expected
+    _, out, _ = run(capsys, *argv, "--eval-q", q, "--format", "pretty")
+    assert [line.rsplit(": ", 1)[1] for line in out.splitlines()[1:]] == [
+        str(v) for _i, _j, v in m.entries_sorted()
+    ]
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,18 +1,20 @@
-"""The tabulated packed-integer push behind rho_matrix and rho_cabled_matrix,
-checked exactly against a per-column push of state tuples in QPoly
-arithmetic, including words on both sides of every digit-width change.  The
-reference rules are written out here, sharing no code with
+"""The tabulated packed-integer push behind rho_matrix, rho_element and
+rho_cabled_matrix, checked exactly against a per-column push of state tuples
+in QPoly arithmetic, including words on both sides of every digit-width
+change, and against the per-word sum of scaled matrices for combinations of
+words.  The reference rules are written out here, sharing no code with
 ``multiball.crossing``."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidbowl.braid import BraidWord
+from braidbowl import multiball
+from braidbowl.braid import BraidWord, HeckeElement
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.matrix import Matrix
-from braidbowl.multiball import index_state, rho_matrix, state_index
-from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, digit_width, falling_probability
+from braidbowl.multiball import index_state, rho_element, rho_matrix, state_index
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly, digit_width, falling_probability
 
 
 def reference_push(word, cap, rule, encode, decode):
@@ -139,3 +141,88 @@ def test_rho_cabled_matrix_with_entries_beyond_8_bit_digits(letters):
     expected = reference_push(word, 3, uncached_cabled_rule(3), state_index, index_state)
     assert max(abs(c) for _i, _j, v in expected.entries_sorted() for c in v.coeffs) >= 2**7
     assert rho_cabled_matrix(word, 3) == expected
+
+
+def scaled_sum(n, terms, N):
+    """sum_t c_t rho(w_t) the per-word way: one push, one ``scale`` and one
+    ``+`` per term, in the order given (repeated words included)."""
+    out = Matrix((N + 1) ** n)
+    for word, coeff in terms:
+        out = out + rho_matrix(word, N).scale(coeff)
+    return out
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6).map(lambda c: QPoly((c,))),
+    st.lists(st.integers(-5, 5), max_size=4).map(lambda cs: QPoly(tuple(cs))),
+)
+
+
+@st.composite
+def elements(draw, max_n=4, max_terms=5, max_len=6):
+    """(n, raw terms) with words of length 0..max_len that may repeat."""
+    n = draw(st.integers(1, max_n))
+    letters = st.lists(st.integers(1, n - 1), max_size=max_len) if n > 1 else st.just([])
+    pool = draw(st.lists(letters.map(lambda ls: BraidWord(n, tuple(ls))), min_size=1, max_size=3))
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coefficients), max_size=max_terms))
+    return n, terms
+
+
+@given(elements(), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_rho_element_matches_sum_of_scaled_word_matrices(element, N):
+    n, terms = element
+    assert rho_element(HeckeElement(n, tuple(terms)), N) == scaled_sum(n, terms, N)
+
+
+def test_rho_element_of_the_empty_element_is_zero():
+    m = rho_element(HeckeElement(3), 2)
+    assert m.dim == 27 and m.is_zero()
+
+
+def test_rho_element_of_x_minus_x_is_zero():
+    terms = ((BraidWord(3, (1, 2, 1)), QPoly.of(2, -1)), (BraidWord(3, (2,)), Q))
+    x_minus_x = HeckeElement(3, terms + tuple((w, -c) for w, c in terms))
+    assert x_minus_x.terms == ()
+    assert rho_element(x_minus_x, 2) == Matrix(27)
+
+
+def test_a_large_coefficient_alone_widens_the_digits():
+    # Generator columns have L1 norm 3, so the words alone need 8-bit digits;
+    # only the coefficient 2^70 pushes the bound past 64 bits.
+    word, short = BraidWord(3, (1, 2, 1)), BraidWord(3, (2,))
+    terms = [(word, QPoly.of(2**70, -3)), (short, Q), (word, ONE)]
+    assert digit_width(3 ** len(word)) == 8
+    assert digit_width((2**70 + 3) * 3 ** len(word)) > 64
+    assert rho_element(HeckeElement(3, tuple(terms)), 2) == scaled_sum(3, terms, 2)
+
+
+def test_an_element_column_with_the_wrong_sum_is_named(monkeypatch):
+    original = multiball.apply_generator
+
+    def skewed(i, u):
+        # Both branches of sigma_1 at (1,0,0) get weight 1: that column sums to 2.
+        branches = original(i, u)
+        return [(v, ONE) for v, _w in branches] if (i, u) == (1, (1, 0, 0)) else branches
+
+    monkeypatch.setattr(multiball, "apply_generator", skewed)
+    x = HeckeElement(3, ((BraidWord(3, (1,)), QPoly.of(2)), (BraidWord(3, (2,)), QPoly.of(3))))
+    column = state_index((1, 0, 0), 1)
+    with pytest.raises(ValueError, match=rf"^column {column} sums to 7, expected 5$"):
+        rho_element(x, 1)
+
+
+def test_each_distinct_letter_is_tabulated_once_per_element(monkeypatch):
+    calls = []
+    original = multiball.apply_generator
+
+    def counted(i, u):
+        calls.append(i)
+        return original(i, u)
+
+    monkeypatch.setattr(multiball, "apply_generator", counted)
+    words = [(1, 2, 1, 1), (2, 1), (3, 1, 3), (1, 2, 1, 1)]
+    x = HeckeElement(4, tuple((BraidWord(4, w), QPoly.of(k + 1)) for k, w in enumerate(words)))
+    rho_element(x, 2)
+    assert len(calls) == 3 * 3**4
+    assert sorted(set(calls)) == [1, 2, 3]
