@@ -106,12 +106,13 @@ class Matrix:
 
     def eval_at(self, x: Fraction) -> Matrix:
         """Evaluate every QPoly entry at q = x, giving a Fraction matrix.
-        Each distinct entry is evaluated once."""
-        distinct = {v for col in self.cols.values() for v in col.values()}
-        value = {v: v.eval_at(x) for v in distinct}
+        Each distinct entry object is evaluated once; equal entries from the
+        push share one object, so they share one value."""
+        distinct = {id(v): v for col in self.cols.values() for v in col.values()}
+        value = {key: v.eval_at(x) for key, v in distinct.items()}
         return Matrix(
             self.dim,
-            {j: {i: value[v] for i, v in col.items()} for j, col in self.cols.items()},
+            {j: {i: value[id(v)] for i, v in col.items()} for j, col in self.cols.items()},
         )
 
     def entries_sorted(self) -> Iterator[tuple[int, int, object]]:

@@ -15,10 +15,13 @@ the weight of each c given (a, b); ``cabled`` is another.  Here:
 States are n-tuples with 0 <= u_i <= N, indexed in mixed radix base N+1.
 ``rho_matrix`` pushes every basis state through the word as a sparse
 distribution; the (v, u) entry of the result is the probability that bowling
-u collects v.  rho is linear: ``rho_element`` of sum_t c_t w_t is one push
-(``push_columns``) whose column j starts at c_t for term t, so columns sum
-to sum_t c_t.  Composition convention: the matrix of w_1 ... w_m is
-M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.
+u collects v.  A crossing reads only the two counts (a, b) it meets, so the
+push (``push_columns``) asks the crossing rule once per pair (a, b), not per
+state, and places the branches into every state by index arithmetic.  rho is
+linear: ``rho_element`` of sum_t c_t w_t is one push whose column j starts at
+c_t for term t, so columns sum to sum_t c_t.  Composition convention: the
+matrix of w_1 ... w_m is M(w_m) @ ... @ M(w_1) acting on column vectors of
+input distributions.
 
 The check_* functions verify, in exact arithmetic, the braid relation, far
 commutativity, the quadratic relation (q + sigma)(1 - sigma) = 0, the kernel
@@ -105,42 +108,43 @@ def push_columns(
     count-tuple states; a word w is the one term (w, ONE).
 
     A state is an n-tuple of counts in 0..radix-1, at index ``state_index``.
-    ``rule(i, u)`` lists the branches (v, weight) of the crossing sigma_i on
-    state u, with distinct targets v that differ from u only at positions i
-    and i+1, so a branch's index is u's index with those two digits replaced.
-    Each state is decoded once, and the generator columns of each distinct
-    letter of all the terms are tabulated once from ``rule``.
+    ``rule(1, (a, b))`` lists the branches ((v0, v1), weight) of a crossing
+    whose over lane holds a and under lane b, with distinct targets.  A
+    crossing reads only those two counts, so sigma_i on state u moves
+    positions i and i+1 from (a, b) = (u_i, u_(i+1)) to (v0, v1) and leaves
+    the rest: a branch's index is u's index with those two digits replaced.
+    When the terms hold a letter, the rule is called once for each of the
+    radix^2 pairs; a push without letters calls it not at all.  Each letter's
+    generator columns are tabulated once from those pairs.
 
     Column j of term t starts as {j: c_t}, is pushed through w_t with
     ``apply`` on packed ints (``qpoly.pack``), and ``apply`` sums the terms.
     A generator column's weights have total coefficient L1 norm at most
     ``growth``, so by the triangle inequality no coefficient of any partial or
     total sum exceeds sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum of
-    |coefficient|), which sets the digit width.  Each distinct weight is
-    packed once, and each distinct entry is decoded once into a shared QPoly.
+    |coefficient|), which sets the digit width.  Each branch weight is packed
+    once, and each distinct entry is decoded once into a shared QPoly.
     """
     dim = radix**n
-    states = list(all_states(n, radix - 1))
-
-    def column(i: int, s: int) -> dict[int, QPoly]:
-        u = states[s]
-        lo, hi = radix ** (i - 1), radix**i
-        base = s - u[i - 1] * lo - u[i] * hi
-        return {base + v[i - 1] * lo + v[i] * hi: w for v, w in rule(i, u)}
-
     letters = {i for word, _c in terms for i in word.letters}
-    gens = {i: {s: column(i, s) for s in range(dim)} for i in letters}
-    columns = [col for table in gens.values() for col in table.values()]
+    counts = range(radix if letters else 0)
+    branches = {(a, b): rule(1, (a, b)) for a in counts for b in counts}
     l1 = lambda p: sum(map(abs, p.coeffs))
-    growth = max((sum(map(l1, col.values())) for col in columns), default=1)
+    growth = max((sum(l1(w) for _v, w in ws) for ws in branches.values()), default=1)
     width = digit_width(sum(l1(c) * growth ** len(word) for word, c in terms))
-    packed = {w: pack(w, width) for w in {w for col in columns for w in col.values()}}
-    packed_gens = {
-        i: {s: {t: packed[w] for t, w in col.items()} for s, col in table.items()}
-        for i, table in gens.items()
+    moves = {
+        (a, b): [(v0 - a, v1 - b, pack(w, width)) for (v0, v1), w in ws]
+        for (a, b), ws in branches.items()
     }
+    gens: dict[int, dict[int, dict[int, int]]] = {}
+    for i in letters:
+        lo, hi = radix ** (i - 1), radix**i
+        gens[i] = {}
+        for s in range(dim):
+            a, b = s // lo % radix, s // hi % radix
+            gens[i][s] = {s + d0 * lo + d1 * hi: x for d0, d1, x in moves[a, b]}
     starts = [(word.letters, pack(c, width)) for word, c in terms]
-    step = lambda dist, i: apply(packed_gens[i], dist)
+    step = lambda dist, i: apply(gens[i], dist)
     ones = dict.fromkeys(range(len(starts)), 1)
     cols: dict[int, dict[int, int]] = {}
     for j in range(dim):

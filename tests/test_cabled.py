@@ -230,8 +230,9 @@ class TestFormulaChecks:
         report = check_cabled_formula(2)
         assert baseline.passed and not report.passed
         assert report.checks == baseline.checks
-        assert len(report.failures) == 1
+        assert len(report.failures) == 2
         assert report.failures[0].startswith("a=2 b=0 c=1: formula ")
+        assert report.failures[1] == "a=2 b=0: formula distribution sums to 1 + q"
 
     def test_spot_check_width_four(self):
         for a, b in [(2, 1), (4, 0), (3, 2)]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidbowl import multiball
+from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, HeckeElement
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.matrix import Matrix
@@ -49,8 +49,8 @@ def multiball_rule(i, u):
 
 
 def uncached_cabled_rule(K):
-    """The cabled crossing straight from the closed formula, bypassing the
-    fall-distribution cache."""
+    """The cabled crossing straight from the closed formula, without
+    ``fall_distribution``."""
 
     def rule(i, s):
         a, b = s[i - 1], s[i]
@@ -201,9 +201,10 @@ def test_an_element_column_with_the_wrong_sum_is_named(monkeypatch):
     original = multiball.apply_generator
 
     def skewed(i, u):
-        # Both branches of sigma_1 at (1,0,0) get weight 1: that column sums to 2.
+        # Both branches of a crossing at counts (1, 0) get weight 1, so sigma_1
+        # takes the column of (1,0,0) to a sum of 2.
         branches = original(i, u)
-        return [(v, ONE) for v, _w in branches] if (i, u) == (1, (1, 0, 0)) else branches
+        return [(v, ONE) for v, _w in branches] if u == (1, 0) else branches
 
     monkeypatch.setattr(multiball, "apply_generator", skewed)
     x = HeckeElement(3, ((BraidWord(3, (1,)), QPoly.of(2)), (BraidWord(3, (2,)), QPoly.of(3))))
@@ -212,17 +213,73 @@ def test_an_element_column_with_the_wrong_sum_is_named(monkeypatch):
         rho_element(x, 1)
 
 
-def test_each_distinct_letter_is_tabulated_once_per_element(monkeypatch):
+def recorded_calls(monkeypatch, module, name):
+    """The (i, state) argument of every call to ``module.name`` from now on."""
     calls = []
-    original = multiball.apply_generator
+    original = getattr(module, name)
 
-    def counted(i, u):
-        calls.append(i)
-        return original(i, u)
+    def counted(i, u, *rest):
+        calls.append((i, u))
+        return original(i, u, *rest)
 
-    monkeypatch.setattr(multiball, "apply_generator", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_distinct_letter_is_tabulated_once_per_element(monkeypatch):
+    calls = recorded_calls(monkeypatch, multiball, "apply_generator")
     words = [(1, 2, 1, 1), (2, 1), (3, 1, 3), (1, 2, 1, 1)]
     x = HeckeElement(4, tuple((BraidWord(4, w), QPoly.of(k + 1)) for k, w in enumerate(words)))
     rho_element(x, 2)
-    assert len(calls) == 3 * 3**4
-    assert sorted(set(calls)) == [1, 2, 3]
+    # Three distinct letters, but one rule call per pair of counts (a, b) in 0..2.
+    assert sorted(calls) == [(1, (a, b)) for a in range(3) for b in range(3)]
+
+
+@pytest.mark.parametrize("n, N", [(1, 5000), (2, 3)])
+def test_a_push_without_letters_calls_no_rule(monkeypatch, n, N):
+    calls = recorded_calls(monkeypatch, multiball, "apply_generator")
+    assert rho_matrix(BraidWord(n), N) == Matrix.identity((N + 1) ** n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_a_cabled_push_calls_the_rule_once_per_pair_of_counts(monkeypatch, K):
+    calls = recorded_calls(monkeypatch, cabled, "apply_generator_cabled")
+    rho_cabled_matrix(BraidWord(3, (1, 2, 1, 2)), K)
+    assert len(calls) == (K + 1) ** 2
+    rho_cabled_matrix(BraidWord(4, (3,)), K)
+    assert len(calls) == 2 * (K + 1) ** 2
+
+
+@given(elements(), st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_every_rule_call_gets_the_two_counts_of_one_crossing(element, N):
+    n, terms = element
+    x = HeckeElement(n, tuple(terms))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = recorded_calls(monkeypatch, multiball, "apply_generator")
+        rho_element(x, N)
+    letters = any(word.letters for word, _c in x.terms)
+    pairs = [(1, (a, b)) for a in range(N + 1) for b in range(N + 1)] if letters else []
+    assert sorted(calls) == pairs
+
+
+@st.composite
+def crossings(draw):
+    """(i, u, cap): a letter of n in 2..5 strands and a state with counts in 0..cap."""
+    n = draw(st.integers(2, 5))
+    cap = draw(st.integers(1, 4))
+    u = tuple(draw(st.lists(st.integers(0, cap), min_size=n, max_size=n)))
+    return draw(st.integers(1, n - 1)), u, cap
+
+
+@given(crossings())
+@settings(max_examples=100, deadline=None)
+def test_a_crossing_reads_only_the_two_counts_it_meets(crossing):
+    # The contract the push tabulates by: sigma_i on u is the crossing on the
+    # pair (u_i, u_(i+1)) with its targets placed back into u.
+    i, u, cap = crossing
+    rules = (multiball.apply_generator, lambda i, u: cabled.apply_generator_cabled(i, u, cap))
+    for rule in rules:
+        placed = {u[: i - 1] + v + u[i + 1 :]: w for v, w in rule(1, u[i - 1 : i + 1])}
+        assert dict(rule(i, u)) == placed
