@@ -10,7 +10,8 @@ check SUITE [size flags]         run verification checks; exit 0 iff all pass
 
 Exit codes: 0 pass, 1 check failure, 2 usage error.  Output is byte
 deterministic for fixed inputs: entries are sorted by (column, row) and all
-polynomials are canonical.
+polynomials are canonical.  JSON output encodes each distinct entry once and
+joins the entries as text, the bytes of ``json.dumps`` of the whole matrix.
 """
 
 from __future__ import annotations
@@ -79,19 +80,20 @@ def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
     m = build(word)
     if eval_q is not None:
         m = m.eval_at(eval_q)
-    # Equal entries share one object (from the push or eval_at): format each once.
-    fmt = (lambda v: _value_json(v, eval_q)) if args.format == "json" else str
+    # Equal entries share one object (from the push or eval_at): encode each once.
+    fmt = (lambda v: json.dumps(_value_json(v, eval_q))) if args.format == "json" else str
     distinct = {id(v): v for col in m.cols.values() for v in col.values()}
     shown = {key: fmt(v) for key, v in distinct.items()}
-    entries = [(row, col, shown[id(v)]) for row, col, v in m.entries_sorted()]
-    meta = {"n": args.n, cap_name: cap}
     if args.format == "json":
-        _emit(json.dumps({**meta, "dim": m.dim, "entries": entries}), args.out)
+        body = ", ".join(f"[{i}, {j}, {shown[id(v)]}]" for i, j, v in m.entries_sorted())
+        meta = {"n": args.n, cap_name: cap, "dim": m.dim, "entries": []}
+        head, tail = json.dumps(meta).rsplit("[]", 1)
+        _emit(f"{head}[{body}]{tail}", args.out)
     else:
-        state = lambda idx: list(multiball.index_state(idx, args.n, cap))
+        label = [str(list(u)) for u in multiball.all_states(args.n, cap)]
         lines = [f"n={args.n} {cap_name}={cap} word='{word}' dim={m.dim}"]
-        for row, col, text in entries:
-            lines.append(f"  u={state(col)} -> v={state(row)}: {text}")
+        for i, j, v in m.entries_sorted():
+            lines.append(f"  u={label[j]} -> v={label[i]}: {shown[id(v)]}")
         _emit("\n".join(lines), args.out)
     return 0
 

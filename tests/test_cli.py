@@ -1,15 +1,20 @@
 """CLI surface: JSON schemas, determinism, exit codes."""
 
+import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidbowl.braid import parse_word
+from braidbowl.braid import BraidWord, parse_word
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.cli import main
 from braidbowl.multiball import index_state, rho_matrix, state_index
 from braidbowl.qpoly import QPoly, fraction_to_json
+from test_push import words
 
 
 def run(capsys, *argv):
@@ -275,6 +280,57 @@ def test_evaluated_output_matches_each_entry_evaluated_and_formatted(capsys, arg
     assert [line.rsplit(": ", 1)[1] for line in out.splitlines()[1:]] == [
         str(v) for _i, _j, v in m.entries_sorted()
     ]
+
+
+MODELS = {"rho": ("--max-balls", "N", rho_matrix), "cabled": ("--cable", "K", rho_cabled_matrix)}
+
+
+def stdout_of(argv) -> str:
+    """Stdout of one successful run; capsys is function-scoped, so hypothesis
+    examples capture it themselves."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    return buf.getvalue()
+
+
+def whole_matrix_json(command: str, word: BraidWord, cap: int, q: str | None) -> str:
+    """The JSON output as one ``json.dumps`` of the whole matrix, every entry
+    converted on its own: the reference for the CLI's per-entry encoding."""
+    _flag, cap_name, build = MODELS[command]
+    m = build(word, cap)
+    if q is None:
+        entries = [[i, j, v.to_json()] for i, j, v in m.entries_sorted()]
+    else:
+        m = m.eval_at(Fraction(q))
+        entries = [[i, j, fraction_to_json(v)] for i, j, v in m.entries_sorted()]
+    return json.dumps({"n": word.n, cap_name: cap, "dim": m.dim, "entries": entries}) + "\n"
+
+
+def matrix_argv(command: str, word: BraidWord, cap: int, q: str | None) -> list[str]:
+    argv = [command, " ".join(map(str, word.letters)), "--n", str(word.n)]
+    argv += [MODELS[command][0], str(cap)]
+    return argv if q is None else argv + ["--eval-q", q]
+
+
+@pytest.mark.parametrize("command", sorted(MODELS))
+@pytest.mark.parametrize("q", [None, "1", "0", "-3", "1/2"])
+@given(word=words(), cap=st.integers(1, 3))
+@settings(max_examples=15, deadline=None)
+def test_json_output_equals_dumps_of_the_whole_matrix(command, q, word, cap):
+    argv = matrix_argv(command, word, cap, q)
+    assert stdout_of(argv) == whole_matrix_json(command, word, cap, q)
+
+
+@pytest.mark.parametrize(
+    "command, word, cap",
+    [("rho", BraidWord(3, (1, 2) * 20), 2), ("cabled", BraidWord(2, (1,) * 12), 4)],
+)
+@pytest.mark.parametrize("q", [None, "-3"])
+def test_json_output_of_long_words_equals_dumps_of_the_whole_matrix(command, word, cap, q):
+    """Coefficients wider than 64 bits, the golden long words."""
+    argv = matrix_argv(command, word, cap, q)
+    assert stdout_of(argv) == whole_matrix_json(command, word, cap, q)
 
 
 def test_missing_subcommand_is_usage_error():

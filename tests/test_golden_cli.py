@@ -47,6 +47,19 @@ GOLDEN = [
          "--format", "json"),
         1, "68f196c0db9ae562bff7e013a24efda8a90958d5bea02843f33621465aab7d52",
     ),
+    (
+        ("rho", "1 2 1 3 2 1", "--n", "4", "--max-balls", "2", "--eval-q", "1/2"),
+        0, "ae5dda904bfc1daaaa4b0f54f9457fbe09fcd2d218a952ac5c3c4a8a7b9ec311",
+    ),
+    # At q = 1 the (1 - q) entries vanish and a permutation matrix is left.
+    (
+        ("cabled", "1 2 1 1", "--n", "3", "--cable", "2", "--eval-q", "1"),
+        0, "dc883981cfd38c81a1ff0f7957fb562cc0af801a60a32d3a2f4540292abc0d0d",
+    ),
+    (
+        ("rho", "", "--n", "1", "--max-balls", "2"),
+        0, "0503c34b203d39141370263a824b4b220a1637d1576b65ef0728e22013d10481",
+    ),
     # Long words whose coefficient bound needs more than 64 bits per digit.
     (
         ("rho", " ".join(["1 2"] * 20), "--n", "3", "--max-balls", "2"),
@@ -64,3 +77,12 @@ def test_cli_output_matches_golden_digest(capsys, argv, code, digest):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_out_file_matches_golden_digest(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    argv = ["rho", "1 2 1 3 2 1", "--n", "4", "--max-balls", "2", "--out", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "eb71bfdbac58e3c6cfcb9d35ddbd58bac9cf2b96fb8f4edea6c6dde8b0601da5"
