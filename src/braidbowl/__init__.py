@@ -8,7 +8,6 @@ from .braid import (
     BraidWord,
     HeckeElement,
     Permutation,
-    identity_permutation,
     minimal_braid,
     parse_word,
     permutation_of,

@@ -53,13 +53,6 @@ class BraidWord:
     def __str__(self) -> str:
         return " ".join(str(i) for i in self.letters)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "letters": list(self.letters)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> BraidWord:
-        return cls(int(data["n"]), tuple(int(i) for i in data["letters"]))
-
 
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse whitespace-separated generator indices, e.g. "1 2 1"."""
@@ -70,10 +63,6 @@ def parse_word(text: str, n: int) -> BraidWord:
         except ValueError:
             raise ValueError(f"malformed generator token {tok!r}") from None
     return BraidWord(n, tuple(letters))
-
-
-def identity_permutation(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
 
 
 def permutation_of(word: BraidWord) -> Permutation:

@@ -209,7 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--eval-q", help="evaluate entries at rational q (p/q or integer)")
+    output.add_argument(
+        "--eval-q",
+        help="evaluate entries at rational q (p/q or integer); "
+        "write a negative fraction as --eval-q=-2/3",
+    )
     output.add_argument("--out", help="write output to a file instead of stdout")
     output.add_argument("--format", choices=("json", "pretty"), default="json")
 

@@ -2,8 +2,10 @@
 
 Entries are stored column-major: ``cols[j][i]`` is the (i, j) entry, and zero
 entries are never stored, so dict equality is semantic equality.  Scalars only
-need +, *, unary -, and truthiness, which both QPoly and Fraction provide;
-``apply`` also runs on the packed ints of ``multiball.push_columns``.
+need +, * (by each other and by an int), and truthiness, which both QPoly and
+Fraction provide.  ``apply`` is the one sparse accumulation loop: it is the
+body of ``@``, ``+`` and ``-``, and also runs on the packed ints of
+``multiball.push_columns``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ def apply(cols: dict[int, Column], vec: Column) -> Column:
     """The sparse columns ``cols`` applied to the sparse vector ``vec``: the
     sum over r of vec[r] * cols[r], with zero entries dropped.
 
-    Products are taken as (vector weight) * (matrix entry), and an entry that
-    is ``ONE`` adds the weight without a multiplication.
+    Products are taken as (vector weight) * (matrix entry).
     """
     out: Column = {}
     for r, w in vec.items():
         for i, p in cols.get(r, {}).items():
-            term = w if p is ONE else w * p
+            term = w * p
             acc = out.get(i)
             if acc is None:
                 out[i] = term
@@ -45,9 +46,11 @@ class Matrix:
     __slots__ = ("dim", "cols")
 
     def __init__(self, dim: int, cols: dict[int, Column] | None = None):
-        """The one place zero entries are dropped: a column holding a zero
-        is copied without it, and zero-free columns are stored as given, so
-        callers must not mutate them afterwards."""
+        """Zero entries are dropped: a column holding a zero is copied
+        without it, and zero-free columns are stored as given, so callers
+        must not mutate them afterwards.  ``apply`` yields no zero from
+        zero-free operands, but ``scale`` by a zero divisor and ``eval_at``
+        at a root do."""
         self.dim = dim
         self.cols: dict[int, Column] = {}
         for j, col in (cols or {}).items():
@@ -75,28 +78,24 @@ class Matrix:
             return NotImplemented
         return self.dim == other.dim and self.cols == other.cols
 
-    def __add__(self, other: Matrix) -> Matrix:
+    def _combine(self, other: Matrix, sign: int) -> Matrix:
+        """self + sign * other: one ``apply`` per column, with weights 1 and sign."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out: dict[int, Column] = {j: dict(col) for j, col in self.cols.items()}
-        for j, col in other.cols.items():
-            tgt = out.setdefault(j, {})
-            for i, v in col.items():
-                acc = tgt.get(i)
-                tgt[i] = v if acc is None else acc + v
-        return Matrix(self.dim, out)
+        pair = lambda j: {0: self.cols.get(j, {}), 1: other.cols.get(j, {})}
+        return Matrix(self.dim, {j: apply(pair(j), {0: 1, 1: sign}) for j in self.cols | other.cols})
+
+    def __add__(self, other: Matrix) -> Matrix:
+        return self._combine(other, 1)
+
+    def __sub__(self, other: Matrix) -> Matrix:
+        return self._combine(other, -1)
 
     def scale(self, scalar) -> Matrix:
         return Matrix(
             self.dim,
             {j: {i: scalar * v for i, v in col.items()} for j, col in self.cols.items()},
         )
-
-    def __neg__(self) -> Matrix:
-        return self.scale(-1)
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        return self + (-other)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         """Matrix product: column j of A@B is A applied to column j of B."""

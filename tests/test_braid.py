@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from braidbowl.braid import (
     BraidWord,
     HeckeElement,
-    identity_permutation,
     minimal_braid,
     parse_word,
     permutation_of,
@@ -43,11 +42,6 @@ class TestParsing:
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_word("1 x", 3)
-
-    def test_json_roundtrip(self):
-        w = word(4, 1, 3, 2)
-        assert BraidWord.from_json(w.to_json()) == w
-        assert w.to_json() == {"n": 4, "letters": [1, 3, 2]}
 
 
 class TestPermutations:
@@ -182,7 +176,3 @@ class TestSpechtElements:
         for i in (1, 2):
             h = specht_half(3, 1, 1, i)
             assert len(h) == math.factorial(3) // 2
-
-
-def test_identity_permutation():
-    assert identity_permutation(4) == (1, 2, 3, 4)

@@ -268,15 +268,16 @@ def test_cable_range_applies_only_to_suites_that_build_cabled_matrices(capsys):
         (("cabled", "1 2 1", "--n", "3", "--cable", "2"), lambda w: rho_cabled_matrix(w, 2)),
     ],
 )
-@pytest.mark.parametrize("q", ["1/2", "1", "-3"])
+@pytest.mark.parametrize("q", ["1/2", "1", "-3", "-2/3"])
 def test_evaluated_output_matches_each_entry_evaluated_and_formatted(capsys, argv, build, q):
     """The CLI evaluates and formats each distinct entry once; the reference
-    evaluates the whole matrix and formats every entry on its own."""
+    evaluates the whole matrix and formats every entry on its own.  The value
+    is passed in the ``--eval-q=`` form, which also reads a negative fraction."""
     m = build(parse_word(argv[1], int(argv[3]))).eval_at(Fraction(q))
-    _, out, _ = run(capsys, *argv, "--eval-q", q)
+    _, out, _ = run(capsys, *argv, f"--eval-q={q}")
     expected = [[i, j, fraction_to_json(v)] for i, j, v in m.entries_sorted()]
     assert json.loads(out)["entries"] == expected
-    _, out, _ = run(capsys, *argv, "--eval-q", q, "--format", "pretty")
+    _, out, _ = run(capsys, *argv, f"--eval-q={q}", "--format", "pretty")
     assert [line.rsplit(": ", 1)[1] for line in out.splitlines()[1:]] == [
         str(v) for _i, _j, v in m.entries_sorted()
     ]

@@ -1,8 +1,8 @@
-"""The sparse apply kernel and ``Matrix @``, checked against a dense
-triple-loop product over both scalar rings, the constructor as the one
-place zero entries are dropped, and the column-sum check of
-``TransitionMatrix``."""
+"""The sparse apply kernel and ``Matrix @``, ``+`` and ``-``, checked against
+dense triple-loop and entrywise oracles over both scalar rings, the zero drop
+of the constructor, and the column-sum check of ``TransitionMatrix``."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from braidbowl.matrix import Matrix, TransitionMatrix, apply
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly
 
-# Small pools with additive inverses, so sums cancel to zero often.  ONE takes
-# the multiplication-free branch of ``apply``; the zeros are dropped on entry.
+# Small pools with additive inverses, so sums cancel to zero often.  ONE is the
+# shared constant that ``Matrix.identity`` stores, multiplied like any other
+# entry; the zeros are dropped on entry.
 QPOLY_VALUES = [ONE, -ONE, Q, -Q, ONE_MINUS_Q, QPoly()]
 FRACTION_VALUES = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(0)]
 
@@ -60,6 +61,31 @@ def test_matmul_matches_dense_product_over_qpoly(pair):
 @settings(max_examples=300, deadline=None)
 def test_matmul_matches_dense_product_over_fraction(pair):
     check_product(*pair, Fraction(0))
+
+
+def check_sum_and_difference(a: Matrix, b: Matrix) -> None:
+    for got, combine in ((a + b, operator.add), (a - b, operator.sub)):
+        expected = {}
+        for j in range(a.dim):
+            for i in range(a.dim):
+                x, y = a.entry(i, j), b.entry(i, j)
+                total = combine(x if x is not None else 0, y if y is not None else 0)
+                if total:
+                    expected.setdefault(j, {})[i] = total
+        assert got.cols == expected
+        assert all(all(col.values()) for col in got.cols.values())
+
+
+@given(matrix_pairs(QPOLY_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_sum_and_difference_match_dense_entrywise_over_qpoly(pair):
+    check_sum_and_difference(*pair)
+
+
+@given(matrix_pairs(FRACTION_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_sum_and_difference_match_dense_entrywise_over_fraction(pair):
+    check_sum_and_difference(*pair)
 
 
 def test_apply_drops_cancelled_entries():
