@@ -1,10 +1,11 @@
 """The cabled representation: every lane becomes K parallel lanes, each
 carrying at most one ball, and the state tracks only the per-group counts.
 
-A cabled crossing is ``multiball.crossing`` with another fall distribution:
+The cabled model is the single-lane model with another fall distribution:
 with a balls in the over group and b in the under group, exactly c balls
-fall with probability f(c) = ``falling_probability(K, a, b, c)``.  A push asks
-for each pair (a, b) once, so ``fall_distribution`` keeps no cache.
+fall with probability f(c) = ``falling_probability(K, a, b, c)``, and
+``multiball.push_columns`` moves them.  A push asks for each pair (a, b)
+once, so ``fall_distribution`` keeps no cache.
 
 ``cable_word`` makes the cabling literal: it replaces every lane by K
 single-ball lanes and every crossing by its K^2 micro-crossings, so the lane
@@ -25,8 +26,8 @@ from functools import lru_cache
 from .braid import BraidWord
 from .matrix import TransitionMatrix
 from .multiball import (
-    BallState, braid_pairs, crossing, far_pairs, index_state, push_columns,
-    record_word_pairs, rho_matrix, state_index,
+    braid_pairs, far_pairs, index_state, push_columns, record_word_pairs, rho_matrix,
+    state_index,
 )
 from .qpoly import ONE, QPoly, falling_probability, poly_sum, validate_cable
 from .report import CheckReport
@@ -43,18 +44,18 @@ def fall_distribution(K: int, a: int, b: int) -> FallDistribution:
     return {c: p for c, p in terms if p}
 
 
-def apply_generator_cabled(
-    i: int, s: BallState, K: int
-) -> list[tuple[BallState, QPoly]]:
-    """Branches of one cabled crossing sigma_i applied to group counts s."""
-    return crossing(i, s, lambda a, b: fall_distribution(K, a, b).items())
+def apply_generator_cabled(a: int, b: int, K: int):
+    """The cabled fall distribution as the push reads it.  The push calls it
+    by this module-global name, which ``perfbench/layertrace.py`` wraps to
+    count branches, so the name stays until the benchmark is revised."""
+    return fall_distribution(K, a, b).items()
 
 
 def rho_cabled_matrix(word: BraidWord, K: int) -> TransitionMatrix:
     """Transition matrix of a word on group-count states, dimension (K+1)^n."""
     validate_cable(K)
     return push_columns(
-        ((word, ONE),), word.n, K + 1, lambda i, s: apply_generator_cabled(i, s, K)
+        ((word, ONE),), word.n, K + 1, lambda a, b: apply_generator_cabled(a, b, K)
     )
 
 

@@ -5,8 +5,8 @@ into the lane entering at position i, at most N per lane.  At the crossing
 sigma_i the lane entering at position i passes OVER the lane at position i+1
 and exits at position i+1.  If the over lane carries a balls and the under
 lane b, c of them fall into the under lane: position i then holds b + c and
-position i+1 holds a - c (``crossing``).  A model is its fall distribution,
-the weight of each c given (a, b); ``cabled`` is another.  Here:
+position i+1 holds a - c.  A model is its fall distribution, the weight of
+each c given (a, b); ``cabled`` is another.  Here (``apply_generator``):
 
 * a <= b: nothing falls (c = 0, weight 1), so the counts swap.
 * a > b: nothing falls with weight q (the counts swap), or a - b balls fall
@@ -16,8 +16,8 @@ States are n-tuples with 0 <= u_i <= N, indexed in mixed radix base N+1.
 ``rho_matrix`` pushes every basis state through the word as a sparse
 distribution; the (v, u) entry of the result is the probability that bowling
 u collects v.  A crossing reads only the two counts (a, b) it meets, so the
-push (``push_columns``) asks the crossing rule once per pair (a, b), not per
-state, and places the branches into every state by index arithmetic.  rho is
+push (``push_columns``) asks the fall distribution once per pair (a, b), not
+per state, and moves the two digits of every state by index arithmetic.  rho is
 linear: ``rho_element`` of sum_t c_t w_t is one push whose column j starts at
 c_t for term t, so columns sum to sum_t c_t.  Composition convention: the
 matrix of w_1 ... w_m is M(w_m) @ ... @ M(w_1) acting on column vectors of
@@ -72,23 +72,12 @@ def all_states(n: int, N: int):
 Fall = Callable[[int, int], Iterable[tuple[int, QPoly]]]
 
 
-def crossing(i: int, u: BallState, fall: Fall) -> list[tuple[BallState, QPoly]]:
-    """Branches of the crossing sigma_i on state u: for each (c, p) in
-    ``fall(a, b)``, with a, b the counts at positions i and i+1, the state
-    with b + c at position i and a - c at position i+1, at weight p."""
-    if not 1 <= i < len(u):
-        raise ValueError(f"generator index {i} out of range 1..{len(u) - 1}")
-    a, b = u[i - 1], u[i]
-    return [(u[: i - 1] + (b + c, a - c) + u[i + 1 :], p) for c, p in fall(a, b)]
-
-
-def _single_lane_fall(a: int, b: int) -> tuple[tuple[int, QPoly], ...]:
+def apply_generator(a: int, b: int) -> tuple[tuple[int, QPoly], ...]:
+    """The single-lane fall distribution, (c, weight) for over count a and
+    under count b.  The push calls it by this module-global name, which
+    ``perfbench/layertrace.py`` wraps to count branches, so the name stays
+    until the benchmark is revised."""
     return ((0, ONE),) if a <= b else ((0, Q), (a - b, ONE_MINUS_Q))
-
-
-def apply_generator(i: int, u: BallState) -> list[tuple[BallState, QPoly]]:
-    """Branches of one crossing sigma_i applied to state u."""
-    return crossing(i, u, _single_lane_fall)
 
 
 def _validate_sizes(n: int, N: int) -> None:
@@ -98,24 +87,23 @@ def _validate_sizes(n: int, N: int) -> None:
         raise ValueError(f"need N >= 1 (N = 0 is the trivial representation), got {N}")
 
 
-Rule = Callable[[int, BallState], list[tuple[BallState, QPoly]]]
-
-
 def push_columns(
-    terms: Sequence[tuple[BraidWord, QPoly]], n: int, radix: int, rule: Rule
+    terms: Sequence[tuple[BraidWord, QPoly]], n: int, radix: int, fall: Fall
 ) -> TransitionMatrix:
     """The matrix of a combination sum_t c_t w_t of positive words on
     count-tuple states; a word w is the one term (w, ONE).
 
     A state is an n-tuple of counts in 0..radix-1, at index ``state_index``.
-    ``rule(1, (a, b))`` lists the branches ((v0, v1), weight) of a crossing
-    whose over lane holds a and under lane b, with distinct targets.  A
-    crossing reads only those two counts, so sigma_i on state u moves
-    positions i and i+1 from (a, b) = (u_i, u_(i+1)) to (v0, v1) and leaves
-    the rest: a branch's index is u's index with those two digits replaced.
-    When the terms hold a letter, the rule is called once for each of the
-    radix^2 pairs; a push without letters calls it not at all.  Each letter's
-    generator columns are tabulated once from those pairs.
+    ``fall(a, b)`` is the model: the (c, weight) branches, with distinct c, of
+    a crossing whose over lane holds a balls and under lane b.  c balls fall,
+    so sigma_i moves positions i and i+1 of u from (a, b) = (u_i, u_(i+1)) to
+    (b + c, a - c) and leaves the rest: a branch's index is u's index with
+    those two digits moved by (b + c - a, a - c - b).  A c outside
+    0..min(a, radix-1-b) would move a digit out of its range, so it raises
+    ``ValueError`` naming the pair.  When the terms hold a letter, ``fall`` is
+    called once for each of the radix^2 pairs; a push without letters calls
+    it not at all.  Each letter's generator columns are tabulated once from
+    those pairs.
 
     Column j of term t starts as {j: c_t}, is pushed through w_t with
     ``apply`` on packed ints (``qpoly.pack``), and ``apply`` sums the terms.
@@ -128,13 +116,18 @@ def push_columns(
     dim = radix**n
     letters = {i for word, _c in terms for i in word.letters}
     counts = range(radix if letters else 0)
-    branches = {(a, b): rule(1, (a, b)) for a in counts for b in counts}
+    falls = {(a, b): tuple(fall(a, b)) for a in counts for b in counts}
+    for (a, b), cs in falls.items():
+        top = min(a, radix - 1 - b)
+        bad = next((c for c, _w in cs if not 0 <= c <= top), None)
+        if bad is not None:
+            raise ValueError(f"fall({a}, {b}) gives c = {bad}, outside 0..{top}")
     l1 = lambda p: sum(map(abs, p.coeffs))
-    growth = max((sum(l1(w) for _v, w in ws) for ws in branches.values()), default=1)
+    growth = max((sum(l1(w) for _c, w in cs) for cs in falls.values()), default=1)
     width = digit_width(sum(l1(c) * growth ** len(word) for word, c in terms))
     moves = {
-        (a, b): [(v0 - a, v1 - b, pack(w, width)) for (v0, v1), w in ws]
-        for (a, b), ws in branches.items()
+        (a, b): [(b + c - a, a - c - b, pack(w, width)) for c, w in cs]
+        for (a, b), cs in falls.items()
     }
     gens: dict[int, dict[int, dict[int, int]]] = {}
     for i in letters:

@@ -224,10 +224,6 @@ def fraction_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def fraction_from_json(data: dict) -> Fraction:
-    return Fraction(int(data["num"]), int(data["den"]))
-
-
 def quantum_int(k: int) -> QPoly:
     """[k] = 1 + q + ... + q^{k-1}, the formal quotient (1 - q^k)/(1 - q)."""
     if k < 0:

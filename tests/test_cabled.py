@@ -33,26 +33,24 @@ def all_words(n, max_len):
 
 
 class TestCabledCrossing:
+    """The cabled fall distribution as the push reads it: (c, weight) items."""
+
     def test_width_one_reduces_to_single_ball_rule(self):
-        assert apply_generator_cabled(1, (1, 0), 1) == [
-            ((0, 1), Q),
-            ((1, 0), ONE_MINUS_Q),
-        ]
+        assert list(apply_generator_cabled(1, 0, 1)) == [(0, Q), (1, ONE_MINUS_Q)]
 
     def test_width_two_full_over_empty(self):
-        branches = dict(apply_generator_cabled(1, (2, 0), 2))
-        assert branches == {
-            (0, 2): Q**4,
-            (1, 1): Q * ONE_MINUS_Q * (ONE + Q) ** 2,
-            (2, 0): (ONE + Q) * ONE_MINUS_Q**2,
+        assert dict(apply_generator_cabled(2, 0, 2)) == {
+            0: Q**4,
+            1: Q * ONE_MINUS_Q * (ONE + Q) ** 2,
+            2: (ONE + Q) * ONE_MINUS_Q**2,
         }
 
     def test_no_empty_under_lanes(self):
-        assert apply_generator_cabled(1, (1, 2), 2) == [((2, 1), ONE)]
+        assert list(apply_generator_cabled(1, 2, 2)) == [(0, ONE)]
 
-    def test_bad_index(self):
+    def test_bad_count(self):
         with pytest.raises(ValueError):
-            apply_generator_cabled(3, (0, 0), 2)
+            apply_generator_cabled(3, 0, 2)
 
 
 class TestCabledMatrix:

@@ -52,24 +52,23 @@ class TestStateIndexing:
 
 
 class TestSingleCrossing:
+    """The single-lane fall distribution: (c, weight) for c balls falling."""
+
     def test_fall_branch(self):
-        assert apply_generator(1, (1, 0)) == [((0, 1), Q), ((1, 0), ONE_MINUS_Q)]
+        assert apply_generator(1, 0) == ((0, Q), (1, ONE_MINUS_Q))
 
     def test_equal_counts_fixed(self):
-        assert apply_generator(1, (1, 1)) == [((1, 1), ONE)]
+        assert apply_generator(1, 1) == ((0, ONE),)
 
     def test_balls_cannot_fall_up(self):
-        assert apply_generator(1, (0, 1)) == [((1, 0), ONE)]
+        assert apply_generator(0, 1) == ((0, ONE),)
 
     def test_interior_generator(self):
-        assert apply_generator(2, (0, 2, 1, 0)) == [
-            ((0, 1, 2, 0), Q),
-            ((0, 2, 1, 0), ONE_MINUS_Q),
-        ]
-
-    def test_bad_generator_index(self):
-        with pytest.raises(ValueError):
-            apply_generator(2, (1, 0))
+        # sigma_2 meets the counts (2, 1) and leaves lanes 1 and 4 alone
+        assert column_states(generator_matrix(2, 4, 2), (0, 2, 1, 0), 4, 2) == {
+            (0, 1, 2, 0): Q,
+            (0, 2, 1, 0): ONE_MINUS_Q,
+        }
 
 
 class TestGoldenColumns:
@@ -236,7 +235,8 @@ class TestProperties:
         for u in all_states(n, N):
             if all(u[i] <= u[i + 1] for i in range(n - 1)):
                 assert any(
-                    apply_generator(i, u) == [(u, ONE)] for i in range(1, n)
+                    column_states(generator_matrix(i, n, N), u, n, N) == {u: ONE}
+                    for i in range(1, n)
                 )
 
     def test_one_ball_block_is_single_crossing_matrix(self):

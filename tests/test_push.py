@@ -2,8 +2,9 @@
 rho_cabled_matrix, checked exactly against a per-column push of state tuples
 in QPoly arithmetic, including words on both sides of every digit-width
 change, and against the per-word sum of scaled matrices for combinations of
-words.  The reference rules are written out here, sharing no code with
-``multiball.crossing``."""
+words.  The reference rules are written out here on whole states, so they
+check where the push places each branch, and share no code with the fall
+distributions the push reads or with its digit moves."""
 
 import pytest
 from hypothesis import given, settings
@@ -200,11 +201,11 @@ def test_a_large_coefficient_alone_widens_the_digits():
 def test_an_element_column_with_the_wrong_sum_is_named(monkeypatch):
     original = multiball.apply_generator
 
-    def skewed(i, u):
+    def skewed(a, b):
         # Both branches of a crossing at counts (1, 0) get weight 1, so sigma_1
         # takes the column of (1,0,0) to a sum of 2.
-        branches = original(i, u)
-        return [(v, ONE) for v, _w in branches] if u == (1, 0) else branches
+        branches = original(a, b)
+        return [(c, ONE) for c, _w in branches] if (a, b) == (1, 0) else branches
 
     monkeypatch.setattr(multiball, "apply_generator", skewed)
     x = HeckeElement(3, ((BraidWord(3, (1,)), QPoly.of(2)), (BraidWord(3, (2,)), QPoly.of(3))))
@@ -213,14 +214,32 @@ def test_an_element_column_with_the_wrong_sum_is_named(monkeypatch):
         rho_element(x, 1)
 
 
+@pytest.mark.parametrize("a, b, c", [(1, 0, 2), (0, 2, 1), (2, 0, -1)])
+def test_a_fall_outside_its_range_is_named(monkeypatch, a, b, c):
+    # Negative control for the push's fall contract, c in 0..min(a, N - b):
+    # the last branch at (a, b) gets c.  Unchecked, c = 2 at (1, 0) moves a
+    # digit past N = 2 and aliases into the next one: sigma_1 sends the
+    # 1 - q branch of the column of (1,0,1) to (2,2,0) instead of (1,0,1).
+    original = multiball.apply_generator
+
+    def skewed(a0, b0):
+        branches = original(a0, b0)
+        return branches[:-1] + ((c, branches[-1][1]),) if (a0, b0) == (a, b) else branches
+
+    monkeypatch.setattr(multiball, "apply_generator", skewed)
+    top = min(a, 2 - b)
+    with pytest.raises(ValueError, match=rf"^fall\({a}, {b}\) gives c = {c}, outside 0\.\.{top}$"):
+        rho_matrix(BraidWord(3, (1,)), 2)
+
+
 def recorded_calls(monkeypatch, module, name):
-    """The (i, state) argument of every call to ``module.name`` from now on."""
+    """The argument tuple of every call to ``module.name`` from now on."""
     calls = []
     original = getattr(module, name)
 
-    def counted(i, u, *rest):
-        calls.append((i, u))
-        return original(i, u, *rest)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -231,8 +250,8 @@ def test_each_distinct_letter_is_tabulated_once_per_element(monkeypatch):
     words = [(1, 2, 1, 1), (2, 1), (3, 1, 3), (1, 2, 1, 1)]
     x = HeckeElement(4, tuple((BraidWord(4, w), QPoly.of(k + 1)) for k, w in enumerate(words)))
     rho_element(x, 2)
-    # Three distinct letters, but one rule call per pair of counts (a, b) in 0..2.
-    assert sorted(calls) == [(1, (a, b)) for a in range(3) for b in range(3)]
+    # Three distinct letters, but one fall call per pair of counts (a, b) in 0..2.
+    assert sorted(calls) == [(a, b) for a in range(3) for b in range(3)]
 
 
 @pytest.mark.parametrize("n, N", [(1, 5000), (2, 3)])
@@ -246,9 +265,10 @@ def test_a_push_without_letters_calls_no_rule(monkeypatch, n, N):
 def test_a_cabled_push_calls_the_rule_once_per_pair_of_counts(monkeypatch, K):
     calls = recorded_calls(monkeypatch, cabled, "apply_generator_cabled")
     rho_cabled_matrix(BraidWord(3, (1, 2, 1, 2)), K)
-    assert len(calls) == (K + 1) ** 2
+    pairs = [(a, b, K) for a in range(K + 1) for b in range(K + 1)]
+    assert sorted(calls) == pairs
     rho_cabled_matrix(BraidWord(4, (3,)), K)
-    assert len(calls) == 2 * (K + 1) ** 2
+    assert sorted(calls) == sorted(pairs * 2)
 
 
 @given(elements(), st.integers(1, 3))
@@ -260,26 +280,5 @@ def test_every_rule_call_gets_the_two_counts_of_one_crossing(element, N):
         calls = recorded_calls(monkeypatch, multiball, "apply_generator")
         rho_element(x, N)
     letters = any(word.letters for word, _c in x.terms)
-    pairs = [(1, (a, b)) for a in range(N + 1) for b in range(N + 1)] if letters else []
+    pairs = [(a, b) for a in range(N + 1) for b in range(N + 1)] if letters else []
     assert sorted(calls) == pairs
-
-
-@st.composite
-def crossings(draw):
-    """(i, u, cap): a letter of n in 2..5 strands and a state with counts in 0..cap."""
-    n = draw(st.integers(2, 5))
-    cap = draw(st.integers(1, 4))
-    u = tuple(draw(st.lists(st.integers(0, cap), min_size=n, max_size=n)))
-    return draw(st.integers(1, n - 1)), u, cap
-
-
-@given(crossings())
-@settings(max_examples=100, deadline=None)
-def test_a_crossing_reads_only_the_two_counts_it_meets(crossing):
-    # The contract the push tabulates by: sigma_i on u is the crossing on the
-    # pair (u_i, u_(i+1)) with its targets placed back into u.
-    i, u, cap = crossing
-    rules = (multiball.apply_generator, lambda i, u: cabled.apply_generator_cabled(i, u, cap))
-    for rule in rules:
-        placed = {u[: i - 1] + v + u[i + 1 :]: w for v, w in rule(1, u[i - 1 : i + 1])}
-        assert dict(rule(i, u)) == placed
