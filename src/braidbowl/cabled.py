@@ -9,27 +9,25 @@ once, so ``fall_distribution`` keeps no cache.
 
 ``cable_word`` makes the cabling literal: it replaces every lane by K
 single-ball lanes and every crossing by its K^2 micro-crossings, so the lane
-level of a cabled word is the single-lane (N=1) model on the cabled word.
-``crossing_oracle`` reads the fall distribution off that model: it sums the
-N=1 column of one 0/1 lane placement by the number of balls that fell.  It
-shares no code with the closed formula, which ``check_cabled_formula``
-compares it against, and ``check_oracle_placement_invariance`` confirms
-rather than assumes that the initial choice of occupied lanes does not
-matter.
+level of a cabled word is the single-lane (N=1) model on the cabled word, and
+rho_K is its lumping onto group counts.  ``crossing_oracle`` reads the fall
+distribution off one lumped lane column; it shares no code with the closed
+formula, which ``check_cabled_formula`` compares it against.
+``check_oracle_placement_invariance`` compares the lumped column of every lane
+placement with rho_K.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .braid import BraidWord
 from .matrix import TransitionMatrix
 from .multiball import (
-    braid_pairs, far_pairs, index_state, push_columns, record_word_pairs, rho_matrix,
-    state_index,
+    _fmt_state, braid_pairs, far_pairs, index_state, push_columns, record_word_pairs,
+    rho_matrix, state_index,
 )
-from .qpoly import ONE, QPoly, falling_probability, poly_sum, validate_cable
+from .qpoly import ONE, ZERO, QPoly, falling_probability, poly_sum, validate_cable
 from .report import CheckReport
 
 FallDistribution = dict[int, QPoly]
@@ -37,11 +35,10 @@ FallDistribution = dict[int, QPoly]
 
 def fall_distribution(K: int, a: int, b: int) -> FallDistribution:
     """Closed-form distribution of the number of falling balls at one
-    cabled crossing: the nonzero f(c) for c in 0..min(a, K-b).  Returns a
-    fresh dict on every call."""
+    cabled crossing: f(c) for c in 0..min(a, K-b), each a product of nonzero
+    polynomials and so nonzero.  Returns a fresh dict on every call."""
     validate_cable(K, a, b)
-    terms = ((c, falling_probability(K, a, b, c)) for c in range(min(a, K - b) + 1))
-    return {c: p for c, p in terms if p}
+    return {c: falling_probability(K, a, b, c) for c in range(min(a, K - b) + 1)}
 
 
 def apply_generator_cabled(a: int, b: int, K: int):
@@ -77,53 +74,46 @@ def _lane_matrix(K: int) -> TransitionMatrix:
     return rho_matrix(cable_word(BraidWord(2, (1,)), K), 1)
 
 
-def crossing_oracle(
-    K: int,
-    a: int,
-    b: int,
-    *,
-    upper: tuple[bool, ...] | None = None,
-    lower: tuple[bool, ...] | None = None,
-) -> FallDistribution:
-    """The fall distribution of one cabled crossing, read off the lane level.
+def _lumped_column(K: int, lanes: tuple[int, ...]) -> dict[tuple[int, int], QPoly]:
+    """The column of the 0/1 lane state ``lanes`` (2K lanes, over group first)
+    in ``_lane_matrix(K)``, summed onto group counts: {(balls in the first K
+    lanes, balls in the last K): weight}."""
+    parts: dict[tuple[int, int], list[QPoly]] = {}
+    for t, w in _lane_matrix(K).cols[state_index(lanes, 1)].items():
+        v = index_state(t, 2 * K, 1)
+        parts.setdefault((sum(v[:K]), sum(v[K:])), []).append(w)
+    return {s: poly_sum(ws) for s, ws in sorted(parts.items())}
 
-    ``upper``/``lower`` fix which of the K lanes of the over and under group
-    start occupied (default: the first a and the first b).  The column of that
-    0/1 lane state in ``_lane_matrix(K)`` is summed by c, the number of balls
-    in the first K lanes of the target minus b.
-    """
+
+def crossing_oracle(K: int, a: int, b: int) -> FallDistribution:
+    """The fall distribution of one cabled crossing, read off the lane level:
+    the lumped column of the placement with the first a over and the first b
+    under lanes occupied, keyed by c, the balls in the first K lanes of the
+    target minus b.  Which placement is read does not matter, as
+    ``check_oracle_placement_invariance`` confirms."""
     validate_cable(K, a, b)
-    if upper is None:
-        upper = tuple(p < a for p in range(K))
-    if lower is None:
-        lower = tuple(l < b for l in range(K))
-    if sum(upper) != a or sum(lower) != b or len(upper) != K or len(lower) != K:
-        raise ValueError("placement masks must match K, a, b")
-
-    column = _lane_matrix(K).cols[state_index(upper + lower, 1)]
-    dist: dict[int, list[QPoly]] = {}
-    for t, w in column.items():
-        dist.setdefault(sum(index_state(t, 2 * K, 1)[:K]) - b, []).append(w)
-    return {c: poly_sum(ws) for c, ws in sorted(dist.items())}
+    lanes = (1,) * a + (0,) * (K - a) + (1,) * b + (0,) * (K - b)
+    return {top - b: w for (top, _), w in _lumped_column(K, lanes).items()}
 
 
 def check_cabled_formula(K: int) -> CheckReport:
-    """Closed formula == lane-level oracle for every (a, b, c) at width K, and
-    the formula's distribution sums to 1 for every (a, b)."""
+    """Lane-level oracle == the fall distribution the push reads, for every
+    (a, b, c) at width K, and that distribution sums to 1 for every (a, b)."""
     report = CheckReport(name=f"cabled-formula K={K}")
     for a in range(K + 1):
         for b in range(K + 1):
             oracle = crossing_oracle(K, a, b)
-            formulas = [falling_probability(K, a, b, c) for c in range(min(a, K - b) + 1)]
-            for c, formula in enumerate(formulas):
+            dist = fall_distribution(K, a, b)
+            for c in range(min(a, K - b) + 1):
+                formula = dist.get(c, ZERO)
                 report.record(
-                    formula == oracle.get(c, QPoly()),
+                    formula == oracle.get(c, ZERO),
                     lambda a=a, b=b, c=c, formula=formula, oracle=oracle: (
                         f"a={a} b={b} c={c}: formula {formula} "
-                        f"!= oracle {oracle.get(c, QPoly())}"
+                        f"!= oracle {oracle.get(c, ZERO)}"
                     ),
                 )
-            total = poly_sum(formulas)
+            total = poly_sum(dist.values())
             report.record(
                 total == ONE,
                 lambda a=a, b=b, total=total: f"a={a} b={b}: formula distribution sums to {total}",
@@ -131,24 +121,30 @@ def check_cabled_formula(K: int) -> CheckReport:
     return report
 
 
-def check_oracle_placement_invariance(K: int, a: int, b: int) -> CheckReport:
-    """Every initial choice of occupied lanes gives the same distribution."""
+def check_oracle_placement_invariance(K: int) -> CheckReport:
+    """rho_K is the lumping of the lane level: for each of the 4^K 0/1 lane
+    states of one cabled crossing, the lumped column equals the column of
+    rho_K(sigma_1) at the state's own group counts (a, b).  So neither the
+    placement of the balls nor the push departs from the lane level.  The
+    name stays while ``perfbench/layertrace.py`` wraps the function by it."""
     if K > 4:
         raise ValueError(f"placement enumeration is desk-scale only (K <= 4), got {K}")
-    report = CheckReport(name=f"placement-invariance K={K} a={a} b={b}")
-    baseline = crossing_oracle(K, a, b)
-    for up_occ in itertools.combinations(range(K), a):
-        for lo_occ in itertools.combinations(range(K), b):
-            upper = tuple(p in up_occ for p in range(K))
-            lower = tuple(l in lo_occ for l in range(K))
-            got = crossing_oracle(K, a, b, upper=upper, lower=lower)
-            report.record(
-                got == baseline,
-                lambda upper=upper, lower=lower, got=got: (
-                    f"placement upper={upper} lower={lower} gives {got} "
-                    f"!= baseline {baseline}"
-                ),
-            )
+    report = CheckReport(name=f"placement-invariance K={K}")
+    pushed = rho_cabled_matrix(BraidWord(2, (1,)), K)
+    show = lambda col: "{" + ", ".join(f"{_fmt_state(v)}: {w}" for v, w in col.items()) + "}"
+    for j in range(4**K):
+        lanes = index_state(j, 2 * K, 1)
+        a, b = sum(lanes[:K]), sum(lanes[K:])
+        got = _lumped_column(K, lanes)
+        column = pushed.cols[state_index((a, b), K)]
+        expected = dict(sorted((index_state(t, 2, K), w) for t, w in column.items()))
+        report.record(
+            got == expected,
+            lambda lanes=lanes, a=a, b=b, got=got, expected=expected: (
+                f"lanes {_fmt_state(lanes)} (a={a} b={b}): lumped {show(got)} "
+                f"!= rho_K {show(expected)}"
+            ),
+        )
     return report
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Iterator
@@ -50,10 +51,13 @@ def _emit(text: str, out_path: str | None) -> None:
 def _parse_eval_q(text: str | None) -> Fraction | None:
     if text is None:
         return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad rational {text!r}; expected p/q or an integer") from None
+    # Fraction alone also reads exponents: 1e-99999999 builds a 10^8-digit power.
+    if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            pass
+    raise ValueError(f"bad rational {text!r}; expected p/q or an integer")
 
 
 def _check_dim(radix: int, n: int) -> None:
@@ -114,8 +118,8 @@ def cmd_cabled(args) -> int:
 def cmd_fall(args) -> int:
     K, a, b = args.cable, args.a, args.b
     _check_cable(K)
-    dist = cabledmod.fall_distribution(K, a, b)
     eval_q = _parse_eval_q(args.eval_q)
+    dist = cabledmod.fall_distribution(K, a, b)
     if eval_q is not None:
         dist = {c: p.eval_at(eval_q) for c, p in dist.items()}
     if args.format == "json":
@@ -134,12 +138,10 @@ def cmd_fall(args) -> int:
 
 
 def _specht_cases(n: int, N: int, k: int | None):
-    """Admissible kernel checks at or below the requested size."""
+    """Admissible kernel checks at or below the requested size (at k alone if given)."""
     for Nw in range(1, min(N, n - 2) + 1):
-        if k is not None and 1 <= k <= n - Nw - 1:
-            yield n, Nw, k
-        else:
-            for kw in range(1, n - Nw):
+        for kw in range(1, n - Nw):
+            if k in (None, kw):
                 yield n, Nw, kw
 
 
@@ -160,6 +162,8 @@ def run_suite(args) -> Iterator[CheckReport]:
         _check_dim(K + 1, n)
     if suite in ("braid", "all") and n < 3:
         raise ValueError("braid relation checks need --n >= 3")
+    if suite in ("specht", "all") and args.k is not None and not 1 <= args.k <= n - 2:
+        raise ValueError(f"--k must be in 1..{n - 2} at --n {n}")
     return _suite_reports(args)
 
 
@@ -179,9 +183,7 @@ def _suite_reports(args) -> Iterator[CheckReport]:
     if suite in ("cabled", "all"):
         yield cabledmod.check_cabled_braid_relation(max(n, 3), K)
         yield cabledmod.check_cabled_formula(K)
-        for a in range(K + 1):
-            for b in range(K + 1):
-                yield cabledmod.check_oracle_placement_invariance(K, a, b)
+        yield cabledmod.check_oracle_placement_invariance(K)
     if suite in ("stochastic", "all"):
         yield multiball.check_stochastic(n, N)
     if suite == "all":
@@ -211,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
         "--eval-q",
-        help="evaluate entries at rational q (p/q or integer); "
-        "write a negative fraction as --eval-q=-2/3",
+        help="evaluate entries at rational q, an integer or p/q with an optional "
+        "sign; write a negative one as --eval-q=-2/3",
     )
     output.add_argument("--out", help="write output to a file instead of stdout")
     output.add_argument("--format", choices=("json", "pretty"), default="json")
@@ -256,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

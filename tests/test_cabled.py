@@ -123,10 +123,6 @@ class TestCrossingOracle:
         with pytest.raises(ValueError):
             reference(2, 1, 0, order=[(0, 0)])
 
-    def test_placement_mask_validation(self):
-        with pytest.raises(ValueError):
-            crossing_oracle(2, 1, 0, upper=(True, True))
-
     def test_sweep_order_covers_square(self):
         assert sorted(sweep_order(3)) == [
             (p, l) for p in range(3) for l in range(3)
@@ -134,6 +130,8 @@ class TestCrossingOracle:
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_reference_matches_oracle_on_every_placement(self, K):
+        # The reference enumerates branches from any placement; the fall the
+        # push reads is placement-free.
         for a in range(K + 1):
             for b in range(K + 1):
                 for up_occ in itertools.combinations(range(K), a):
@@ -141,7 +139,7 @@ class TestCrossingOracle:
                         upper = tuple(p in up_occ for p in range(K))
                         lower = tuple(l in lo_occ for l in range(K))
                         assert reference(K, a, b, upper=upper, lower=lower) == (
-                            crossing_oracle(K, a, b, upper=upper, lower=lower)
+                            fall_distribution(K, a, b)
                         )
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -238,14 +236,38 @@ class TestFormulaChecks:
             for c in range(min(a, 4 - b) + 1):
                 assert falling_probability(4, a, b, c) == oracle[c]
 
-    @pytest.mark.parametrize(
-        "K,a,b,placements",
-        [(2, 1, 1, 4), (3, 2, 1, 9), (2, 0, 0, 1)],
-    )
-    def test_placement_invariance(self, K, a, b, placements):
-        report = check_oracle_placement_invariance(K, a, b)
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_placement_invariance(self, K):
+        report = check_oracle_placement_invariance(K)
         assert report.passed
-        assert report.checks == placements
+        assert report.checks == 4**K
+
+    def test_placement_check_catches_a_skewed_push(self, monkeypatch):
+        # Swapping two weights keeps every column sum at 1, so only the
+        # comparison with the lane level can see it.
+        exact = cabled.fall_distribution
+
+        def skewed(K, a, b):
+            dist = exact(K, a, b)
+            if (K, a, b) == (3, 2, 0):
+                dist[1], dist[2] = dist[2], dist[1]
+            return dist
+
+        monkeypatch.setattr(cabled, "fall_distribution", skewed)
+        report = check_oracle_placement_invariance(3)
+        assert not report.passed and report.checks == 4**3
+        assert len(report.failures) == 3  # the C(3, 2) placements of (a, b) = (2, 0)
+        f0, f1, f2 = exact(3, 2, 0).values()
+        lumped = f"{{[0,2]: {f0}, [1,1]: {f1}, [2,0]: {f2}}}"
+        pushed = f"{{[0,2]: {f0}, [1,1]: {f2}, [2,0]: {f1}}}"
+        for failure, lanes in zip(
+            report.failures, ["[1,1,0,0,0,0]", "[1,0,1,0,0,0]", "[0,1,1,0,0,0]"]
+        ):
+            assert failure == f"lanes {lanes} (a=2 b=0): lumped {lumped} != rho_K {pushed}"
+
+    def test_placement_check_is_desk_scale(self):
+        with pytest.raises(ValueError, match="K <= 4"):
+            check_oracle_placement_invariance(5)
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_cabled_braid_relation(self, K):

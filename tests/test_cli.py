@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -338,3 +339,45 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rho", "1", "--n", "2", "--max-balls", "1"),
+        ("fall", "--cable", "2", "--a", "1", "--b", "0"),
+    ],
+)
+@pytest.mark.parametrize("q", ["1e-99999999", "1e3", "1.5", "1/0", " 1/2", "0x10"])
+def test_eval_q_accepts_only_an_integer_or_p_over_q(capsys, argv, q):
+    """Fraction alone also reads exponents, and 1e-99999999 would build a
+    10^8-digit power: every form but [sign]integer[/integer] is refused first."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, f"--eval-q={q}")
+    assert code == 2 and "bad rational" in err and out == ""
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("target", [".", "missing/matrix.json"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, target):
+    code, out, err = run(
+        capsys, "rho", "1", "--n", "2", "--max-balls", "1", "--out", str(tmp_path / target)
+    )
+    assert code == 2 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("suite", ["all", "specht"])
+@pytest.mark.parametrize("k", ["0", "3", "9"])
+def test_k_outside_the_window_starts_is_a_usage_error(capsys, suite, k):
+    code, out, err = run(capsys, "check", suite, "--n", "4", "--max-balls", "2", "--k", k)
+    assert code == 2 and "--k must be in 1..2" in err and out == ""
+
+
+def test_check_all_runs_k_only_where_it_is_admissible(capsys):
+    code, out, _ = run(
+        capsys, "check", "all", "--n", "5", "--max-balls", "2", "--k", "3", "--format", "json"
+    )
+    names = [r["name"] for r in json.loads(out)["reports"]]
+    assert code == 0 and [x for x in names if x.startswith("specht")] == [
+        "specht-kernel n=5 N=1 k=3"
+    ]

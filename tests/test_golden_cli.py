@@ -36,11 +36,11 @@ GOLDEN = [
     (
         ("check", "all", "--n", "4", "--max-balls", "2", "--cable", "3",
          "--format", "json"),
-        0, "9c64bb8231ee4de64d249db0d77191a55ad265926f89ef9b5f0462c0696d4bcf",
+        0, "d98259ce3c9b14b8542e53bb57874a0b2d1c29492e1b27a64eadbd6082f2d6c3",
     ),
     (
         ("check", "cabled", "--n", "3", "--cable", "4", "--format", "json"),
-        0, "5d347cf2ae00e066148abeebae3b91cea2b7327cea750ac5743f11a026ca0666",
+        0, "d1e2be13ed2af19d7a88990cb24561a046b8862c87c47ffb8990d7767432cdaa",
     ),
     (
         ("check", "hecke", "--n", "2", "--max-balls", "1", "--corrupt-generator",
