@@ -23,7 +23,7 @@ from braidbowl.cabled import (
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import index_state, record_word_pairs, rho_matrix, state_index
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, falling_probability, poly_sum
-from braidbowl.report import CheckReport
+from braidbowl.report import MAX_FAILURES, CheckReport
 
 
 def all_words(n, max_len):
@@ -237,10 +237,34 @@ class TestFormulaChecks:
                 assert falling_probability(4, a, b, c) == oracle[c]
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
-    def test_placement_invariance(self, K):
+    def test_placement_invariance_all_lanes(self, K):
         report = check_oracle_placement_invariance(K)
         assert report.passed
         assert report.checks == 4**K
+
+    @pytest.mark.parametrize(
+        "K,a,b,placements",
+        [(2, 1, 1, 4), (3, 2, 1, 9), (2, 0, 0, 1)],
+    )
+    def test_placement_invariance(self, K, a, b, placements, monkeypatch):
+        # Every placement of (a, b) balls is compared: tilting the lumped
+        # columns of those lane states fails exactly C(K, a) C(K, b) checks.
+        exact = cabled._lumped_column
+        seen = []
+
+        def tilted(K_, lanes):
+            col = exact(K_, lanes)
+            if (sum(lanes[:K_]), sum(lanes[K_:])) == (a, b):
+                seen.append(lanes)
+                return {s: Q * w for s, w in col.items()}
+            return col
+
+        monkeypatch.setattr(cabled, "_lumped_column", tilted)
+        report = check_oracle_placement_invariance(K)
+        assert report.checks == 4**K and not report.passed
+        assert len(set(seen)) == len(seen) == placements
+        assert len(report.failures) == min(placements, MAX_FAILURES)
+        assert all(f" (a={a} b={b}): lumped " in f for f in report.failures)
 
     def test_placement_check_catches_a_skewed_push(self, monkeypatch):
         # Swapping two weights keeps every column sum at 1, so only the
