@@ -20,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Iterator
 
@@ -40,12 +41,10 @@ def _value_json(v, eval_q: Fraction | None):
     return fraction_to_json(v)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _open_out(out_path: str | None):
+    """``--out`` opened for writing, or stdout.  Opened after the argument checks
+    and before the work: a bad path costs no push, a bad argument no file."""
+    return open(out_path, "w") if out_path else nullcontext(sys.stdout)
 
 
 def _parse_eval_q(text: str | None) -> Fraction | None:
@@ -81,24 +80,25 @@ def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
     word = parse_word(args.word, args.n)
     _check_dim(cap + 1, args.n)
     eval_q = _parse_eval_q(args.eval_q)
-    m = build(word)
-    if eval_q is not None:
-        m = m.eval_at(eval_q)
-    # Equal entries share one object (from the push or eval_at): encode each once.
-    fmt = (lambda v: json.dumps(_value_json(v, eval_q))) if args.format == "json" else str
-    distinct = {id(v): v for col in m.cols.values() for v in col.values()}
-    shown = {key: fmt(v) for key, v in distinct.items()}
-    if args.format == "json":
-        body = ", ".join(f"[{i}, {j}, {shown[id(v)]}]" for i, j, v in m.entries_sorted())
-        meta = {"n": args.n, cap_name: cap, "dim": m.dim, "entries": []}
-        head, tail = json.dumps(meta).rsplit("[]", 1)
-        _emit(f"{head}[{body}]{tail}", args.out)
-    else:
-        label = [str(list(u)) for u in multiball.all_states(args.n, cap)]
-        lines = [f"n={args.n} {cap_name}={cap} word='{word}' dim={m.dim}"]
-        for i, j, v in m.entries_sorted():
-            lines.append(f"  u={label[j]} -> v={label[i]}: {shown[id(v)]}")
-        _emit("\n".join(lines), args.out)
+    with _open_out(args.out) as out:
+        m = build(word)
+        if eval_q is not None:
+            m = m.eval_at(eval_q)
+        # Equal entries share one object (from the push or eval_at): encode each once.
+        fmt = (lambda v: json.dumps(_value_json(v, eval_q))) if args.format == "json" else str
+        distinct = {id(v): v for col in m.cols.values() for v in col.values()}
+        shown = {key: fmt(v) for key, v in distinct.items()}
+        if args.format == "json":
+            body = ", ".join(f"[{i}, {j}, {shown[id(v)]}]" for i, j, v in m.entries_sorted())
+            meta = {"n": args.n, cap_name: cap, "dim": m.dim, "entries": []}
+            head, tail = json.dumps(meta).rsplit("[]", 1)
+            print(f"{head}[{body}]{tail}", file=out)
+        else:
+            label = [str(list(u)) for u in multiball.all_states(args.n, cap)]
+            lines = [f"n={args.n} {cap_name}={cap} word='{word}' dim={m.dim}"]
+            for i, j, v in m.entries_sorted():
+                lines.append(f"  u={label[j]} -> v={label[i]}: {shown[id(v)]}")
+            print("\n".join(lines), file=out)
     return 0
 
 
@@ -119,7 +119,7 @@ def cmd_fall(args) -> int:
     K, a, b = args.cable, args.a, args.b
     _check_cable(K)
     eval_q = _parse_eval_q(args.eval_q)
-    dist = cabledmod.fall_distribution(K, a, b)
+    dist = cabledmod.fall_distribution(K, a, b)  # checks a and b before --out is opened
     if eval_q is not None:
         dist = {c: p.eval_at(eval_q) for c, p in dist.items()}
     if args.format == "json":
@@ -129,11 +129,11 @@ def cmd_fall(args) -> int:
             "b": b,
             "dist": {str(c): _value_json(p, eval_q) for c, p in dist.items()},
         }
-        _emit(json.dumps(payload), args.out)
+        text = json.dumps(payload)
     else:
-        lines = [f"K={K} a={a} b={b}"]
-        lines.extend(f"  c={c}: {p}" for c, p in dist.items())
-        _emit("\n".join(lines), args.out)
+        text = "\n".join([f"K={K} a={a} b={b}", *(f"  c={c}: {p}" for c, p in dist.items())])
+    with _open_out(args.out) as out:
+        print(text, file=out)
     return 0
 
 

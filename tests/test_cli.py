@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, parse_word
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.cli import main
@@ -364,6 +365,41 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, target):
         capsys, "rho", "1", "--n", "2", "--max-balls", "1", "--out", str(tmp_path / target)
     )
     assert code == 2 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("target", [".", "missing/matrix.json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rho", "2 5 1 5 4 6 5 7 3 4", "--n", "8", "--max-balls", "2"),
+        ("cabled", "1 2 1", "--n", "3", "--cable", "2"),
+    ],
+)
+def test_unwritable_out_is_refused_before_the_push(capsys, monkeypatch, tmp_path, argv, target):
+    """The sink is opened before the matrix is built, so a bad ``--out`` costs
+    no push: a push here fails the test instead of returning a matrix."""
+    def no_push(*_args):
+        raise AssertionError("the push ran before --out was opened")
+
+    monkeypatch.setattr(multiball, "push_columns", no_push)
+    monkeypatch.setattr(cabled, "push_columns", no_push)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 2 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rho", "3", "--n", "3", "--max-balls", "1"),
+        ("cabled", "1", "--n", "3", "--cable", "2", "--eval-q", "1.5"),
+        ("fall", "--cable", "2", "--a", "3", "--b", "0"),
+    ],
+)
+def test_bad_argument_with_writable_out_creates_no_file(capsys, tmp_path, argv):
+    path = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2 and err.startswith("error: ") and out == ""
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("suite", ["all", "specht"])
