@@ -11,7 +11,8 @@ Conventions (fixed once, used everywhere):
 * ``minimal_braid`` returns the canonical bubble-sort reduced word: scan
   positions left to right, emit sigma_p whenever the lanes at positions p,
   p+1 are out of order relative to their targets, repeat until sorted.  Its
-  length always equals the inversion count of the permutation.
+  length always equals the inversion count of the permutation, so the sign
+  of w is (-1)^len(minimal_braid(w)).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .qpoly import ONE, QPoly, inversions_perm
+from .qpoly import ONE, QPoly
 
 Permutation = tuple[int, ...]
 
@@ -76,10 +77,6 @@ def permutation_of(word: BraidWord) -> Permutation:
     return tuple(images)
 
 
-def sign(w: Permutation) -> int:
-    return -1 if inversions_perm(w) % 2 else 1
-
-
 def minimal_braid(w: Permutation) -> BraidWord:
     """The canonical reduced word realizing w, length = inversion count."""
     n = len(w)
@@ -98,39 +95,20 @@ def minimal_braid(w: Permutation) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class HeckeElement:
-    """Formal linear combination of positive braid words with QPoly coefficients.
-
-    Only positive words are stored; no symbolic rewriting modulo the quadratic
-    relation happens here.  Identities involving these elements are checked
-    after applying the representation.
-    """
+    """Formal linear combination sum_t c_t w_t of positive braid words with
+    QPoly coefficients: the term list (w_t, c_t) as given, neither merged,
+    sorted nor rewritten, since the push (``multiball.rho_element``) sums
+    repeated words and cancels terms exactly.  Identities involving these
+    elements are checked after applying the representation."""
 
     n: int
     terms: tuple[tuple[BraidWord, QPoly], ...] = ()
 
     def __post_init__(self) -> None:
-        merged: dict[BraidWord, QPoly] = {}
-        for word, coeff in self.terms:
-            if word.n != self.n:
-                raise ValueError("all words in an element must share n")
-            acc = merged.get(word, QPoly()) + coeff
-            if acc:
-                merged[word] = acc
-            elif word in merged:
-                del merged[word]
-        canon = tuple(sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0].letters)))
-        object.__setattr__(self, "terms", canon)
-
-    def coefficient(self, word: BraidWord) -> QPoly:
-        for w, c in self.terms:
-            if w == word:
-                return c
-        return QPoly()
-
-    def __len__(self) -> int:
-        return len(self.terms)
+        if any(word.n != self.n for word, _c in self.terms):
+            raise ValueError("all words in an element must share n")
 
 
 def _window_permutations(n: int, N: int, k: int):
@@ -153,13 +131,16 @@ def _check_window_args(n: int, N: int, k: int) -> None:
 
 
 def _signed_sum(n: int, perms) -> HeckeElement:
-    """The sum of sign(w) times the minimal braid of w over the permutations w."""
-    return HeckeElement(n, tuple((minimal_braid(w), sign(w) * ONE) for w in perms))
+    """The sum over the permutations w of sign(w) b_w, b_w the minimal braid
+    of w and sign(w) = (-1)^len(b_w).  Distinct permutations have distinct
+    minimal braids, so each term is one word with coefficient +-1."""
+    signs = (ONE, -ONE)
+    return HeckeElement(n, tuple((b, signs[len(b) % 2]) for b in map(minimal_braid, perms)))
 
 
 def specht_element(n: int, N: int, k: int) -> HeckeElement:
     """Alternating sum of the (N+2)! minimal permutation braids of the window
-    {k, ..., k+N+1}, each with coefficient sign(w)."""
+    {k, ..., k+N+1}, each with coefficient sign(w) = (-1)^length."""
     _check_window_args(n, N, k)
     return _signed_sum(n, _window_permutations(n, N, k))
 

@@ -108,7 +108,7 @@ def check_cabled_formula(K: int) -> CheckReport:
                 formula = dist.get(c, ZERO)
                 report.record(
                     formula == oracle.get(c, ZERO),
-                    lambda a=a, b=b, c=c, formula=formula, oracle=oracle: (
+                    lambda: (
                         f"a={a} b={b} c={c}: formula {formula} "
                         f"!= oracle {oracle.get(c, ZERO)}"
                     ),
@@ -116,7 +116,7 @@ def check_cabled_formula(K: int) -> CheckReport:
             total = poly_sum(dist.values())
             report.record(
                 total == ONE,
-                lambda a=a, b=b, total=total: f"a={a} b={b}: formula distribution sums to {total}",
+                lambda: f"a={a} b={b}: formula distribution sums to {total}",
             )
     return report
 
@@ -140,7 +140,7 @@ def check_oracle_placement_invariance(K: int) -> CheckReport:
         expected = dict(sorted((index_state(t, 2, K), w) for t, w in column.items()))
         report.record(
             got == expected,
-            lambda lanes=lanes, a=a, b=b, got=got, expected=expected: (
+            lambda: (
                 f"lanes {_fmt_state(lanes)} (a={a} b={b}): lumped {show(got)} "
                 f"!= rho_K {show(expected)}"
             ),

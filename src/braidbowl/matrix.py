@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .qpoly import ONE, ZERO, poly_sum
+from .qpoly import ONE, poly_sum
 
 Column = dict[int, object]
 
@@ -48,9 +48,9 @@ class Matrix:
     def __init__(self, dim: int, cols: dict[int, Column] | None = None):
         """Zero entries are dropped: a column holding a zero is copied
         without it, and zero-free columns are stored as given, so callers
-        must not mutate them afterwards.  ``apply`` yields no zero from
-        zero-free operands, but ``scale`` by a zero divisor and ``eval_at``
-        at a root do."""
+        must not mutate them afterwards.  Z[q] and Q have no zero divisors,
+        so ``apply`` yields no zero from zero-free operands; zeros come only
+        from ``scale(0)`` and from ``eval_at`` at a root."""
         self.dim = dim
         self.cols: dict[int, Column] = {}
         for j, col in (cols or {}).items():
@@ -60,8 +60,8 @@ class Matrix:
                 self.cols[j] = col
 
     @classmethod
-    def identity(cls, dim: int, one=ONE) -> Matrix:
-        return cls(dim, {j: {j: one} for j in range(dim)})
+    def identity(cls, dim: int) -> Matrix:
+        return cls(dim, {j: {j: ONE} for j in range(dim)})
 
     def entry(self, row: int, col: int):
         """The (row, col) entry, or None when it is zero."""
@@ -139,17 +139,3 @@ class TransitionMatrix(Matrix):
             if got != total:
                 raise ValueError(f"column {j} sums to {got}, expected {total}")
 
-
-def matrices_equal_entry(a: Matrix, b: Matrix) -> tuple[int, int, object, object] | None:
-    """Return the first differing entry (row, col, a_val, b_val), or None."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    for j in sorted(set(a.cols) | set(b.cols)):
-        acol = a.cols.get(j, {})
-        bcol = b.cols.get(j, {})
-        for i in sorted(set(acol) | set(bcol)):
-            av = acol.get(i, ZERO)
-            bv = bcol.get(i, ZERO)
-            if av != bv:
-                return i, j, av, bv
-    return None

@@ -36,8 +36,8 @@ from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .braid import BraidWord, HeckeElement, specht_element, specht_half
-from .matrix import Matrix, TransitionMatrix, apply, matrices_equal_entry
-from .qpoly import ONE, ONE_MINUS_Q, Q, QPoly, digit_width, pack, poly_sum, unpack
+from .matrix import Matrix, TransitionMatrix, apply
+from .qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, digit_width, pack, poly_sum, unpack
 from .report import CheckReport
 
 BallState = tuple[int, ...]
@@ -180,14 +180,20 @@ def _record_matrix_equal(
     n: int,
     N: int,
 ) -> None:
-    diff = matrices_equal_entry(got, expected)
+    """Record got == expected; a failure names the first differing entry."""
+
     def describe():
-        i, j, gv, ev = diff
-        return (
-            f"{label}: u={_fmt_state(index_state(j, n, N))} "
-            f"v={_fmt_state(index_state(i, n, N))} expected {ev} actual {gv}"
-        )
-    report.record(diff is None, describe)
+        for j in sorted(got.cols | expected.cols):
+            gcol, ecol = got.cols.get(j, {}), expected.cols.get(j, {})
+            for i in sorted(gcol | ecol):
+                gv, ev = gcol.get(i, ZERO), ecol.get(i, ZERO)
+                if gv != ev:
+                    return (
+                        f"{label}: u={_fmt_state(index_state(j, n, N))} "
+                        f"v={_fmt_state(index_state(i, n, N))} expected {ev} actual {gv}"
+                    )
+
+    report.record(got == expected, describe)
 
 
 def record_word_pairs(
@@ -302,7 +308,7 @@ def check_inverse(n: int, N: int, x: Fraction) -> CheckReport:
     if x == 0:
         raise ValueError("q = 0 is not invertible")
     dim = (N + 1) ** n
-    ident = Matrix.identity(dim, one=Fraction(1))
+    ident = Matrix.identity(dim).eval_at(x)
     report = CheckReport(name=f"inverse-formula n={n} N={N} q={x}")
     for i in range(1, n):
         m = generator_matrix(i, n, N).eval_at(x)
@@ -338,7 +344,7 @@ def check_stochastic(n: int, N: int) -> CheckReport:
             bad = next((i for i in m.cols.get(j, {}) if multisets[i] != multisets[j]), None)
             report.record(
                 bad is None,
-                lambda j=j, word=word, bad=bad: (
+                lambda: (
                     f"word '{word}': count multiset changes "
                     f"{_fmt_state(index_state(j, n, N))} -> "
                     f"{_fmt_state(index_state(bad, n, N))}"
@@ -350,7 +356,7 @@ def check_stochastic(n: int, N: int) -> CheckReport:
         )
         report.record(
             high is None,
-            lambda word=word, high=high: (
+            lambda: (
                 f"word '{word}': entry u={_fmt_state(index_state(high[1], n, N))} "
                 f"v={_fmt_state(index_state(high[0], n, N))} is {high[2]}, "
                 f"of degree above the word length"

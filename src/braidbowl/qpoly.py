@@ -13,10 +13,10 @@ q-factorials, Gaussian binomials, inversion counters, and the closed-form
 distribution of how many balls fall at a single cabled crossing.
 
 Validation happens only at the boundary: ``QPoly(...)`` (and the ``of`` and
-``monomial`` helpers built on it) and ``QPoly.from_json`` reject any
-coefficient that is not an ``int``.  Results of ``+``, ``-``, ``*`` and
-negation are built from coefficients that are ints by construction, so they
-skip that scan and only strip trailing zeros.
+``monomial`` helpers built on it) rejects any coefficient that is not an
+``int``.  Results of ``+``, ``-``, ``*`` and negation are built from
+coefficients that are ints by construction, so they skip that scan and only
+strip trailing zeros.
 
 ``pack`` and ``unpack`` are the Kronecker codec of the push kernel: a
 polynomial whose coefficients all satisfy |c| < 2^(B-1) is the Python int
@@ -142,10 +142,6 @@ class QPoly:
 
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> QPoly:
-        return cls(tuple(data["coeffs"]))
 
 
 def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 MAX_FAILURES = 5
 
@@ -18,11 +19,13 @@ class CheckReport:
     checks: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, describe=None) -> None:
+    def record(self, ok: bool, describe: Callable[[], str]) -> None:
+        """Count one comparison; on failure, call ``describe`` at once for
+        its line while fewer than MAX_FAILURES are kept."""
         self.checks += 1
         if not ok:
             self.passed = False
-            if describe is not None and len(self.failures) < MAX_FAILURES:
+            if len(self.failures) < MAX_FAILURES:
                 self.failures.append(describe())
 
     def to_json(self) -> dict:

@@ -25,6 +25,7 @@ from braidbowl.multiball import (
     state_index,
 )
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly, poly_sum
+from braidbowl.report import CheckReport
 
 
 def column_states(m, u, n, N):
@@ -172,6 +173,31 @@ class TestRelationChecks:
     def test_inverse_rejects_zero(self):
         with pytest.raises(ValueError):
             check_inverse(2, 1, Fraction(0))
+
+
+# n = N = 2: state index 3 is [0,1].  A's first entry in (col, row) order that
+# B lacks is (3, 0) = q; B's (1, 2) = 2 comes later in that order.
+A = Matrix(9, {0: {0: ONE, 3: Q}, 4: {4: ONE}})
+B = Matrix(9, {0: {0: ONE}, 2: {1: QPoly.of(2)}, 4: {4: Q}})
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "got,expected,failures",
+    [
+        (A, B, ["L: u=[0,0] v=[0,1] expected 0 actual q"]),
+        (B, A, ["L: u=[0,0] v=[0,1] expected q actual 0"]),
+        (A.eval_at(HALF), B.eval_at(HALF), ["L: u=[0,0] v=[0,1] expected 0 actual 1/2"]),
+        (A, A, []),
+    ],
+    ids=["a-b", "b-a", "at-half", "a-a"],
+)
+def test_matrix_mismatch_names_the_first_differing_entry(got, expected, failures):
+    report = CheckReport(name="t")
+    multiball._record_matrix_equal(report, "L", got, expected, 2, 2)
+    assert report.checks == 1
+    assert report.passed == (not failures)
+    assert report.failures == failures
 
 
 words = st.integers(2, 4).flatmap(
