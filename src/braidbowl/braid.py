@@ -1,13 +1,13 @@
-"""Positive braid words, their permutations, and minimal permutation braids.
+"""Positive braid words, minimal permutation braids, and the alternating
+window elements built from them.
 
 Conventions (fixed once, used everywhere):
 
 * A word on n strands is a sequence of generator indices in 1..n-1, read
   first-to-last: the leftmost letter is the crossing the lanes meet first.
-* ``permutation_of`` returns w with w(i) = final position of the lane that
-  enters at position i, as a 1-based tuple of images.  Concatenating words
-  composes permutations as permutation_of(u + v) = permutation_of(v) after
-  permutation_of(u).
+* A permutation w is a 1-based tuple of images, w(i) = final position of the
+  lane that enters at position i.  ``permutation_of`` in ``tests/oracles.py``
+  reads it off a word lane by lane, as the tests' oracle for this module.
 * ``minimal_braid`` returns the canonical bubble-sort reduced word: scan
   positions left to right, emit sigma_p whenever the lanes at positions p,
   p+1 are out of order relative to their targets, repeat until sorted.  Its
@@ -45,12 +45,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        """Concatenation: self's crossings are met first."""
-        if self.n != other.n:
-            raise ValueError("cannot concatenate words on different strand counts")
-        return BraidWord(self.n, self.letters + other.letters)
-
     def __str__(self) -> str:
         return " ".join(str(i) for i in self.letters)
 
@@ -64,17 +58,6 @@ def parse_word(text: str, n: int) -> BraidWord:
         except ValueError:
             raise ValueError(f"malformed generator token {tok!r}") from None
     return BraidWord(n, tuple(letters))
-
-
-def permutation_of(word: BraidWord) -> Permutation:
-    """The permutation sending each lane's entry position to its exit position."""
-    lane_at = list(range(1, word.n + 1))  # lane_at[p-1] = lane currently at position p
-    for i in word.letters:
-        lane_at[i - 1], lane_at[i] = lane_at[i], lane_at[i - 1]
-    images = [0] * word.n
-    for pos, lane in enumerate(lane_at, start=1):
-        images[lane - 1] = pos
-    return tuple(images)
 
 
 def minimal_braid(w: Permutation) -> BraidWord:
@@ -121,7 +104,8 @@ def _window_permutations(n: int, N: int, k: int):
         yield tuple(full)
 
 
-def _check_window_args(n: int, N: int, k: int) -> None:
+def validate_window(n: int, N: int, k: int) -> None:
+    """Raise unless N >= 1 and the window k..k+N+1 fits in positions 1..n."""
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
     if n < N + 2:
@@ -141,13 +125,13 @@ def _signed_sum(n: int, perms) -> HeckeElement:
 def specht_element(n: int, N: int, k: int) -> HeckeElement:
     """Alternating sum of the (N+2)! minimal permutation braids of the window
     {k, ..., k+N+1}, each with coefficient sign(w) = (-1)^length."""
-    _check_window_args(n, N, k)
+    validate_window(n, N, k)
     return _signed_sum(n, _window_permutations(n, N, k))
 
 
 def specht_half(n: int, N: int, k: int, i: int) -> HeckeElement:
     """The half of the alternating window sum with w(i) < w(i+1)."""
-    _check_window_args(n, N, k)
+    validate_window(n, N, k)
     if not k <= i <= k + N:
         raise ValueError(f"position i={i} out of window range {k}..{k + N}")
     return _signed_sum(n, (w for w in _window_permutations(n, N, k) if w[i - 1] < w[i]))

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from . import cabled as cabledmod
 from . import multiball
-from .braid import parse_word
+from .braid import parse_word, validate_window
 from .qpoly import fraction_to_json
 from .report import CheckReport
 
@@ -164,6 +164,8 @@ def run_suite(args) -> Iterator[CheckReport]:
         raise ValueError("braid relation checks need --n >= 3")
     if suite in ("specht", "all") and args.k is not None and not 1 <= args.k <= n - 2:
         raise ValueError(f"--k must be in 1..{n - 2} at --n {n}")
+    if suite == "specht":
+        validate_window(n, N, 1 if args.k is None else args.k)
     return _suite_reports(args)
 
 

@@ -63,16 +63,6 @@ class Matrix:
     def identity(cls, dim: int) -> Matrix:
         return cls(dim, {j: {j: ONE} for j in range(dim)})
 
-    def entry(self, row: int, col: int):
-        """The (row, col) entry, or None when it is zero."""
-        return self.cols.get(col, {}).get(row)
-
-    def column(self, col: int) -> Column:
-        return dict(self.cols.get(col, {}))
-
-    def is_zero(self) -> bool:
-        return not self.cols
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -9,14 +9,13 @@ already is the reduced-fraction scalar we need.
 
 The combinatorial layer provides quantum integers [k] = 1 + q + ... + q^{k-1}
 (the positive-exponent convention, not the one symmetric under q -> 1/q),
-q-factorials, Gaussian binomials, inversion counters, and the closed-form
-distribution of how many balls fall at a single cabled crossing.
+q-factorials, Gaussian binomials, and the closed-form distribution of how
+many balls fall at a single cabled crossing.
 
-Validation happens only at the boundary: ``QPoly(...)`` (and the ``of`` and
-``monomial`` helpers built on it) rejects any coefficient that is not an
-``int``.  Results of ``+``, ``-``, ``*`` and negation are built from
-coefficients that are ints by construction, so they skip that scan and only
-strip trailing zeros.
+Validation happens only at the boundary: ``QPoly(...)`` (and the ``monomial``
+helper built on it) rejects any coefficient that is not an ``int``.  Results
+of ``+``, ``-``, ``*`` and negation are built from coefficients that are ints
+by construction, so they skip that scan and only strip trailing zeros.
 
 ``pack`` and ``unpack`` are the Kronecker codec of the push kernel: a
 polynomial whose coefficients all satisfy |c| < 2^(B-1) is the Python int
@@ -33,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,10 +47,6 @@ class QPoly:
         if any(not isinstance(c, int) or isinstance(c, bool) for c in coeffs):
             raise TypeError(f"integer coefficients required, got {coeffs!r}")
         object.__setattr__(self, "coeffs", _strip(coeffs))
-
-    @classmethod
-    def of(cls, *coeffs: int) -> QPoly:
-        return cls(coeffs)
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> QPoly:
@@ -252,29 +247,6 @@ def gauss_binom(k: int, r: int) -> QPoly:
     if r == 0 or r == k:
         return ONE
     return gauss_binom(k - 1, r - 1) + QPoly.monomial(r) * gauss_binom(k - 1, r)
-
-
-def inversions_perm(w: Sequence[int]) -> int:
-    """Number of pairs i < j with w(i) > w(j)."""
-    return sum(
-        1
-        for i, j in itertools.combinations(range(len(w)), 2)
-        if w[i] > w[j]
-    )
-
-
-def inversions_binary(s: Sequence[int]) -> int:
-    """Number of pairs i < j with s_i = 1 and s_j = 0."""
-    ones = 0
-    count = 0
-    for e in s:
-        if e == 1:
-            ones += 1
-        elif e == 0:
-            count += ones
-        else:
-            raise ValueError(f"binary sequence expected, got entry {e!r}")
-    return count
 
 
 def validate_cable(K: int, a: int = 0, b: int = 0) -> None:

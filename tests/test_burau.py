@@ -42,7 +42,7 @@ def one_ball_mismatches(m, word, cap, t):
     expected = burau(word, t)
     return [
         c for c in range(n)
-        if m.column(index[c]) != {index[r]: expected[r][c] for r in range(n) if expected[r][c]}
+        if m.cols.get(index[c], {}) != {index[r]: expected[r][c] for r in range(n) if expected[r][c]}
     ]
 
 

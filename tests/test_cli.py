@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, parse_word
 from braidbowl.cabled import rho_cabled_matrix
-from braidbowl.cli import main
+from braidbowl.cli import build_parser, main, run_suite
 from braidbowl.multiball import index_state, rho_matrix, state_index
 from braidbowl.qpoly import QPoly, fraction_to_json
 from test_push import words
@@ -147,7 +147,7 @@ class TestFallCommand:
         _, out, _ = run(capsys, "fall", "--cable", "2", "--a", "2", "--b", "0")
         dist = json.loads(out)["dist"]
         assert list(dist) == ["0", "1", "2"]
-        assert dist["1"] == QPoly.of(0, 1, 1, -1, -1).to_json()
+        assert dist["1"] == QPoly((0, 1, 1, -1, -1)).to_json()
 
     def test_preconditions(self, capsys):
         code, _, err = run(capsys, "fall", "--cable", "2", "--a", "3", "--b", "0")
@@ -407,6 +407,22 @@ def test_bad_argument_with_writable_out_creates_no_file(capsys, tmp_path, argv):
 def test_k_outside_the_window_starts_is_a_usage_error(capsys, suite, k):
     code, out, err = run(capsys, "check", suite, "--n", "4", "--max-balls", "2", "--k", k)
     assert code == 2 and "--k must be in 1..2" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        (["--n", "4", "--max-balls", "3"], "need n >= N + 2, got n=4, N=3"),
+        (["--n", "6", "--max-balls", "2", "--k", "4"], "window start k=4 out of range 1..3"),
+    ],
+)
+def test_specht_window_that_does_not_fit_is_rejected_before_any_check_runs(capsys, size, message):
+    args = build_parser().parse_args(["check", "specht", *size])
+    with pytest.raises(ValueError) as exc:
+        run_suite(args)  # raises here, not on the first report
+    assert str(exc.value) == message
+    code, out, err = run(capsys, "check", "specht", *size)
+    assert code == 2 and err == f"error: {message}\n" and out == ""
 
 
 def test_check_all_runs_k_only_where_it_is_admissible(capsys):

@@ -36,7 +36,7 @@ def dense_product(a: Matrix, b: Matrix, zero) -> dict:
         for i in range(a.dim):
             total = zero
             for r in range(a.dim):
-                x, y = a.entry(i, r), b.entry(r, j)
+                x, y = a.cols.get(r, {}).get(i), b.cols.get(j, {}).get(r)
                 if x is not None and y is not None:
                     total = total + x * y
             if total:
@@ -68,7 +68,7 @@ def check_sum_and_difference(a: Matrix, b: Matrix) -> None:
         expected = {}
         for j in range(a.dim):
             for i in range(a.dim):
-                x, y = a.entry(i, j), b.entry(i, j)
+                x, y = a.cols.get(j, {}).get(i), b.cols.get(j, {}).get(i)
                 total = combine(x if x is not None else 0, y if y is not None else 0)
                 if total:
                     expected.setdefault(j, {})[i] = total

@@ -29,7 +29,7 @@ from braidbowl.report import CheckReport
 
 
 def column_states(m, u, n, N):
-    col = m.column(state_index(u, N))
+    col = m.cols.get(state_index(u, N), {})
     return {index_state(i, n, N): v for i, v in col.items()}
 
 
@@ -93,7 +93,7 @@ class TestGoldenColumns:
 
     def test_three_balls_descending(self):
         m = rho_matrix(parse_word("1 2 1", 3), 2)
-        entry = m.entry(state_index((0, 1, 2), 2), state_index((2, 1, 0), 2))
+        entry = m.cols[state_index((2, 1, 0), 2)][state_index((0, 1, 2), 2)]
         assert entry == Q**3
 
     def test_empty_word_is_identity(self):
@@ -119,7 +119,7 @@ class TestRhoElement:
 
     def test_specht_element_in_kernel(self):
         x = specht_element(3, 1, 1)
-        assert rho_element(x, 1).is_zero()
+        assert not rho_element(x, 1).cols
 
     def test_quadratic_expansion_in_kernel(self):
         # (q + sigma)(1 - sigma) expanded: q*1 + (1-q)*sigma - sigma^2
@@ -131,7 +131,7 @@ class TestRhoElement:
                 (BraidWord(2, (1, 1)), -ONE),
             ),
         )
-        assert rho_element(x, 2).is_zero()
+        assert not rho_element(x, 2).cols
 
 
 class TestRelationChecks:
@@ -178,7 +178,7 @@ class TestRelationChecks:
 # n = N = 2: state index 3 is [0,1].  A's first entry in (col, row) order that
 # B lacks is (3, 0) = q; B's (1, 2) = 2 comes later in that order.
 A = Matrix(9, {0: {0: ONE, 3: Q}, 4: {4: ONE}})
-B = Matrix(9, {0: {0: ONE}, 2: {1: QPoly.of(2)}, 4: {4: Q}})
+B = Matrix(9, {0: {0: ONE}, 2: {1: QPoly((2,))}, 4: {4: Q}})
 HALF = Fraction(1, 2)
 
 
@@ -249,9 +249,9 @@ class TestProperties:
         # q = 1: every crossing swaps; q = 0: swap only when a <= b
         at1, at0 = m.eval_at(Fraction(1)), m.eval_at(Fraction(0))
         for u in all_states(n, N):
-            col1 = at1.column(state_index(u, N))
+            col1 = at1.cols.get(state_index(u, N), {})
             assert col1 == {state_index(run(u, lambda a, b: True), N): 1}
-            col0 = at0.column(state_index(u, N))
+            col0 = at0.cols.get(state_index(u, N), {})
             assert col0 == {state_index(run(u, lambda a, b: a <= b), N): 1}
 
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -274,7 +274,7 @@ class TestProperties:
         for n, i in [(2, 1), (3, 1), (3, 2), (4, 2)]:
             for N in (1, 2, 3):
                 m = generator_matrix(i, n, N)
-                e = lambda v, u: m.entry(state_index(v, N), state_index(u, N))
+                e = lambda v, u: m.cols.get(state_index(u, N), {}).get(state_index(v, N))
                 lo, hi = basis(n, i), basis(n, i + 1)
                 assert e(lo, lo) == ONE_MINUS_Q
                 assert e(hi, lo) == Q
@@ -295,7 +295,7 @@ class TestProperties:
         product = (m - ident) @ (m + ident.scale(Q))
         for j in one_ball:
             for i in one_ball:
-                assert product.entry(i, j) is None
+                assert i not in product.cols.get(j, {})
 
 
 def test_stochastic_check_runs():

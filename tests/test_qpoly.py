@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import inversions_binary, inversions_perm
 
 from braidbowl.qpoly import (
     ONE,
@@ -17,8 +18,6 @@ from braidbowl.qpoly import (
     falling_probability,
     fraction_to_json,
     gauss_binom,
-    inversions_binary,
-    inversions_perm,
     pack,
     poly_sum,
     q_factorial,
@@ -51,10 +50,10 @@ class TestRing:
         assert ONE_MINUS_Q + Q == ONE
 
     def test_difference_of_squares(self):
-        assert ONE_MINUS_Q * (ONE + Q) == QPoly.of(1, 0, -1)
+        assert ONE_MINUS_Q * (ONE + Q) == QPoly((1, 0, -1))
 
     def test_absorbing_zero(self):
-        assert QPoly.of(3, -2, 5) * ZERO == ZERO
+        assert QPoly((3, -2, 5)) * ZERO == ZERO
 
     def test_canonical_trailing_zeros(self):
         assert QPoly((1, 0, 0)) == QPoly((1,))
@@ -63,8 +62,8 @@ class TestRing:
 
     def test_int_mixing(self):
         assert 1 - Q == ONE_MINUS_Q
-        assert 2 * Q == QPoly.of(0, 2)
-        assert Q * (-3) == QPoly.of(0, -3)
+        assert 2 * Q == QPoly((0, 2))
+        assert Q * (-3) == QPoly((0, -3))
 
     @given(polys, polys, polys)
     @settings(max_examples=60)
@@ -92,7 +91,7 @@ class TestEval:
     def test_examples(self):
         assert (Q * Q).eval_at(Fraction(1, 2)) == Fraction(1, 4)
         assert ONE_MINUS_Q.eval_at(Fraction(1)) == 0
-        assert QPoly.of(1, 1, 1).eval_at(Fraction(2)) == 7
+        assert QPoly((1, 1, 1)).eval_at(Fraction(2)) == 7
 
     @given(polys, polys, st.fractions(max_denominator=20))
     @settings(max_examples=60)
@@ -105,7 +104,7 @@ class TestQuantumCombinatorics:
     def test_quantum_int(self):
         assert quantum_int(0) == ZERO
         assert quantum_int(1) == ONE
-        assert quantum_int(3) == QPoly.of(1, 1, 1)
+        assert quantum_int(3) == QPoly((1, 1, 1))
 
     def test_quantum_int_is_formal_quotient(self):
         # (1 - q) [k] = 1 - q^k
@@ -114,8 +113,8 @@ class TestQuantumCombinatorics:
 
     def test_q_factorial(self):
         assert q_factorial(0) == ONE
-        assert q_factorial(2) == QPoly.of(1, 1)
-        assert q_factorial(3) == QPoly.of(1, 2, 2, 1)
+        assert q_factorial(2) == QPoly((1, 1))
+        assert q_factorial(3) == QPoly((1, 2, 2, 1))
 
     def test_q_factorial_counts_inversions(self):
         for k in range(5):
@@ -125,8 +124,8 @@ class TestQuantumCombinatorics:
         for k in range(6):
             assert gauss_binom(k, 0) == ONE
             assert gauss_binom(k, k) == ONE
-        assert gauss_binom(2, 1) == QPoly.of(1, 1)
-        assert gauss_binom(4, 2) == QPoly.of(1, 1, 2, 1, 1)
+        assert gauss_binom(2, 1) == QPoly((1, 1))
+        assert gauss_binom(4, 2) == QPoly((1, 1, 2, 1, 1))
         assert gauss_binom(3, -1) == ZERO
         assert gauss_binom(3, 4) == ZERO
 
@@ -209,7 +208,7 @@ class TestFallingProbability:
 
 class TestJson:
     def test_poly_roundtrip(self):
-        p = QPoly.of(1, -2, 0, 3)
+        p = QPoly((1, -2, 0, 3))
         assert QPoly(tuple(p.to_json()["coeffs"])) == p
         assert p.to_json() == {"coeffs": [1, -2, 0, 3]}
 
@@ -232,7 +231,7 @@ def test_constructor_rejects_non_int_coefficients():
     with pytest.raises(TypeError):
         QPoly((1.5,))
     with pytest.raises(TypeError):
-        QPoly.of(1, Fraction(1, 2))
+        QPoly((1, Fraction(1, 2)))
 
 
 class TestPackedCodec:
@@ -258,7 +257,7 @@ class TestPackedCodec:
         assert unpack(0, 8) == ZERO
 
     def test_packed_arithmetic_is_polynomial_arithmetic(self):
-        a, b = QPoly.of(3, -2, 1), QPoly.of(-1, 0, 5)
+        a, b = QPoly((3, -2, 1)), QPoly((-1, 0, 5))
         assert unpack(pack(a, 16) * pack(b, 16) + pack(a, 16), 16) == a * b + a
 
     # Every width digit_width may return, in increasing order.

@@ -1,4 +1,4 @@
-"""The verification sweep in ``scripts/``."""
+"""The verification sweep in ``scripts/`` and the ``python -m braidbowl`` entry point."""
 
 import importlib.util
 import json
@@ -19,6 +19,13 @@ def report_names(stdout):
     return [m.group(1) for m in map(REPORT_LINE.fullmatch, stdout.splitlines()) if m]
 
 
+def run_with_src(*argv):
+    """Run ``python *argv`` in a subprocess that imports the package from ``src/``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
 def check_all_names(capsys):
     """Report names of ``braidbowl check all --n 3 --max-balls 1 --cable 1``."""
     assert cli.main(["check", "all", "--n", "3", "--max-balls", "1", "--cable", "1",
@@ -27,12 +34,7 @@ def check_all_names(capsys):
 
 
 def test_run_checks_passes_on_a_small_grid(capsys):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--max-n", "3", "--max-balls", "1", "--max-cable", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_with_src(str(SCRIPT), "--max-n", "3", "--max-balls", "1", "--max-cable", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "ALL CHECKS PASSED"
     # the one size of this grid runs exactly the CLI's suite, in order
@@ -51,3 +53,18 @@ def test_run_checks_skips_sizes_the_cli_rejects(capsys, monkeypatch):
     skips = [line for line in out.splitlines() if line.startswith("SKIP")]
     assert len(skips) == 1 and "--max-balls 2" in skips[0] and "desk-scale" in skips[0]
     assert report_names(out) == check_all_names(capsys)
+
+
+def test_python_m_braidbowl_prints_what_main_prints(capsys):
+    argv = ["fall", "--cable", "3", "--a", "2", "--b", "1"]
+    proc = run_with_src("-m", "braidbowl", *argv)
+    assert cli.main(argv) == 0
+    assert proc.returncode == 0 and proc.stdout == capsys.readouterr().out and proc.stderr == ""
+
+
+def test_python_m_braidbowl_exits_2_on_bad_input(capsys):
+    argv = ["fall", "--cable", "3", "--a", "4", "--b", "0"]
+    proc = run_with_src("-m", "braidbowl", *argv)
+    assert cli.main(argv) == 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == capsys.readouterr().err and proc.stderr.startswith("error: ")
