@@ -3,7 +3,8 @@ carrying at most one ball, and the state tracks only the per-group counts.
 
 The cabled model is the single-lane model with another fall distribution:
 with a balls in the over group and b in the under group, exactly c balls
-fall with probability f(c) = ``falling_probability(K, a, b, c)``, and
+fall with probability f(c) = ``falling_probability(K, a, b, c)``, a Gaussian
+binomial times c factors 1 - q^j and a power of q, and
 ``multiball.push_columns`` moves them.  A push asks for each pair (a, b)
 once, so ``fall_distribution`` keeps no cache.
 
@@ -24,13 +25,66 @@ from functools import lru_cache
 from .braid import BraidWord
 from .matrix import TransitionMatrix
 from .multiball import (
-    _fmt_state, braid_pairs, far_pairs, index_state, push_columns, record_word_pairs,
+    braid_pairs, far_pairs, fmt_state, index_state, push_columns, record_word_pairs,
     rho_matrix, state_index,
 )
-from .qpoly import ONE, ZERO, QPoly, falling_probability, poly_sum, validate_cable
+from .qpoly import ONE, ZERO, QPoly, poly_sum
 from .report import CheckReport
 
 FallDistribution = dict[int, QPoly]
+
+# The widest cable whose 4^K lane placements ``check_oracle_placement_invariance``
+# enumerates, and so the widest ``check`` accepts for the cabled suites.
+MAX_PLACEMENT_CABLE = 4
+
+
+def validate_cable(K: int, a: int = 0, b: int = 0) -> None:
+    """Raise unless cable width K >= 1 and over/under group counts a, b lie in 0..K."""
+    if K < 1:
+        raise ValueError(f"cable width must be >= 1, got {K}")
+    if not 0 <= a <= K or not 0 <= b <= K:
+        raise ValueError(f"need 0 <= a, b <= K, got a={a}, b={b}, K={K}")
+
+
+@lru_cache(maxsize=None)
+def gauss_binom(k: int, r: int) -> QPoly:
+    """Gaussian binomial [k]! / ([r]! [k-r]!), and 0 when r < 0 or r > k.
+
+    Computed by the q-Pascal recursion, which stays in Z[q] throughout:
+    choosing whether the last slot of a 0/1 sequence holds a 1 gives
+    gauss(k, r) = gauss(k-1, r-1) + q^r * gauss(k-1, r).
+    """
+    if k < 0:
+        raise ValueError(f"Gaussian binomial needs k >= 0, got {k}")
+    if r < 0 or r > k:
+        return ZERO
+    if r == 0 or r == k:
+        return ONE
+    return gauss_binom(k - 1, r - 1) + QPoly.monomial(r) * gauss_binom(k - 1, r)
+
+
+def falling_probability(K: int, a: int, b: int, c: int) -> QPoly:
+    """Probability, as a polynomial in q, that exactly c balls fall at one
+    cabled crossing of width K when a balls enter the over group and b the
+    under group.  With m = K - b empty under lanes, the closed form is
+
+        gauss(a, c) * (1 - q^(m-c+1)) ... (1 - q^m) * q^((a-c)(m-c)),
+
+    which is gauss(a, c) * gauss(m, c) * [c]! * (1 - q)^c * q^((a-c)(m-c)),
+    since gauss(m, c) [c]! = [m]!/[m-c]! and [j] (1 - q) = 1 - q^j.
+    Vanishes when c > a or c > m (no way to pick the falling balls or the
+    lanes they land in).
+    """
+    validate_cable(K, a, b)
+    if c < 0:
+        raise ValueError(f"need c >= 0, got c={c}")
+    m = K - b
+    if c > a or c > m:
+        return ZERO
+    out = gauss_binom(a, c)
+    for j in range(m - c + 1, m + 1):
+        out = out * (ONE - QPoly.monomial(j))
+    return out * QPoly.monomial((a - c) * (m - c))
 
 
 def fall_distribution(K: int, a: int, b: int) -> FallDistribution:
@@ -127,11 +181,13 @@ def check_oracle_placement_invariance(K: int) -> CheckReport:
     rho_K(sigma_1) at the state's own group counts (a, b).  So neither the
     placement of the balls nor the push departs from the lane level.  The
     name stays while ``perfbench/layertrace.py`` wraps the function by it."""
-    if K > 4:
-        raise ValueError(f"placement enumeration is desk-scale only (K <= 4), got {K}")
+    if K > MAX_PLACEMENT_CABLE:
+        raise ValueError(
+            f"placement enumeration is desk-scale only (K <= {MAX_PLACEMENT_CABLE}), got {K}"
+        )
     report = CheckReport(name=f"placement-invariance K={K}")
     pushed = rho_cabled_matrix(BraidWord(2, (1,)), K)
-    show = lambda col: "{" + ", ".join(f"{_fmt_state(v)}: {w}" for v, w in col.items()) + "}"
+    show = lambda col: "{" + ", ".join(f"{fmt_state(v)}: {w}" for v, w in col.items()) + "}"
     for j in range(4**K):
         lanes = index_state(j, 2 * K, 1)
         a, b = sum(lanes[:K]), sum(lanes[K:])
@@ -141,7 +197,7 @@ def check_oracle_placement_invariance(K: int) -> CheckReport:
         report.record(
             got == expected,
             lambda: (
-                f"lanes {_fmt_state(lanes)} (a={a} b={b}): lumped {show(got)} "
+                f"lanes {fmt_state(lanes)} (a={a} b={b}): lumped {show(got)} "
                 f"!= rho_K {show(expected)}"
             ),
         )

@@ -27,12 +27,17 @@ from typing import Iterator
 from . import cabled as cabledmod
 from . import multiball
 from .braid import parse_word, validate_window
-from .qpoly import fraction_to_json
 from .report import CheckReport
 
 MAX_DIM = 100_000
-MAX_CABLE = 20  # fall_distribution slows steeply with K; K=1100 exhausts the recursion limit
+# fall_distribution slows steeply with K; cabled.gauss_binom exceeds the
+# recursion limit at K=500.
+MAX_CABLE = 20
 SUITES = ("braid", "hecke", "specht", "cabled", "stochastic", "all")
+
+
+def fraction_to_json(x: Fraction) -> dict:
+    return {"num": x.numerator, "den": x.denominator}
 
 
 def _value_json(v, eval_q: Fraction | None):
@@ -157,8 +162,11 @@ def run_suite(args) -> Iterator[CheckReport]:
     if suite != "cabled":
         _check_dim(N + 1, n)
     if suite in ("cabled", "all"):
-        if not 1 <= K <= 4:
-            raise ValueError("--cable must be in 1..4 (placement enumeration is desk-scale)")
+        if not 1 <= K <= cabledmod.MAX_PLACEMENT_CABLE:
+            raise ValueError(
+                f"--cable must be in 1..{cabledmod.MAX_PLACEMENT_CABLE}"
+                " (placement enumeration is desk-scale)"
+            )
         _check_dim(K + 1, n)
     if suite in ("braid", "all") and n < 3:
         raise ValueError("braid relation checks need --n >= 3")

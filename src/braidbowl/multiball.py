@@ -168,7 +168,7 @@ def rho_element(x: HeckeElement, N: int) -> Matrix:
     return push_columns(x.terms, x.n, N + 1, apply_generator)
 
 
-def _fmt_state(u: BallState) -> str:
+def fmt_state(u: BallState) -> str:
     return "[" + ",".join(str(c) for c in u) + "]"
 
 
@@ -189,8 +189,8 @@ def _record_matrix_equal(
                 gv, ev = gcol.get(i, ZERO), ecol.get(i, ZERO)
                 if gv != ev:
                     return (
-                        f"{label}: u={_fmt_state(index_state(j, n, N))} "
-                        f"v={_fmt_state(index_state(i, n, N))} expected {ev} actual {gv}"
+                        f"{label}: u={fmt_state(index_state(j, n, N))} "
+                        f"v={fmt_state(index_state(i, n, N))} expected {ev} actual {gv}"
                     )
 
     report.record(got == expected, describe)
@@ -346,8 +346,8 @@ def check_stochastic(n: int, N: int) -> CheckReport:
                 bad is None,
                 lambda: (
                     f"word '{word}': count multiset changes "
-                    f"{_fmt_state(index_state(j, n, N))} -> "
-                    f"{_fmt_state(index_state(bad, n, N))}"
+                    f"{fmt_state(index_state(j, n, N))} -> "
+                    f"{fmt_state(index_state(bad, n, N))}"
                 ),
             )
         high = next(
@@ -357,8 +357,8 @@ def check_stochastic(n: int, N: int) -> CheckReport:
         report.record(
             high is None,
             lambda: (
-                f"word '{word}': entry u={_fmt_state(index_state(high[1], n, N))} "
-                f"v={_fmt_state(index_state(high[0], n, N))} is {high[2]}, "
+                f"word '{word}': entry u={fmt_state(index_state(high[1], n, N))} "
+                f"v={fmt_state(index_state(high[0], n, N))} is {high[2]}, "
                 f"of degree above the word length"
             ),
         )

@@ -1,16 +1,11 @@
-"""Exact univariate polynomials in q with integer coefficients, plus the
-q-combinatorial quantities built from them.
+"""Exact univariate polynomials in q with integer coefficients: the ring
+Z[q] the transition matrices live in, and the packed-int codec of the push.
 
 A polynomial is stored as a tuple of coefficients, index i holding the
 coefficient of q^i, with trailing zeros stripped (the zero polynomial is the
-empty tuple).  Coefficients are Python ints, so products of quantum factorials
-never overflow.  Rational evaluation points use ``fractions.Fraction``, which
+empty tuple).  Coefficients are Python ints, so long products never
+overflow.  Rational evaluation points use ``fractions.Fraction``, which
 already is the reduced-fraction scalar we need.
-
-The combinatorial layer provides quantum integers [k] = 1 + q + ... + q^{k-1}
-(the positive-exponent convention, not the one symmetric under q -> 1/q),
-q-factorials, Gaussian binomials, and the closed-form distribution of how
-many balls fall at a single cabled crossing.
 
 Validation happens only at the boundary: ``QPoly(...)`` (and the ``monomial``
 helper built on it) rejects any coefficient that is not an ``int``.  Results
@@ -31,7 +26,6 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 
@@ -103,14 +97,6 @@ class QPoly:
         return _trusted(tuple(out))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> QPoly:
-        if k < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = ONE
-        for _ in range(k):
-            out = out * self
-        return out
 
     def eval_at(self, x: Fraction | int) -> Fraction:
         """Exact rational Horner evaluation at q = x."""
@@ -209,75 +195,6 @@ ZERO = QPoly()
 ONE = QPoly((1,))
 Q = QPoly((0, 1))
 ONE_MINUS_Q = QPoly((1, -1))
-
-
-def fraction_to_json(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def quantum_int(k: int) -> QPoly:
-    """[k] = 1 + q + ... + q^{k-1}, the formal quotient (1 - q^k)/(1 - q)."""
-    if k < 0:
-        raise ValueError(f"quantum integer needs k >= 0, got {k}")
-    return QPoly((1,) * k)
-
-
-def q_factorial(k: int) -> QPoly:
-    """[k]! = [k][k-1]...[1], with [0]! = 1."""
-    if k < 0:
-        raise ValueError(f"q-factorial needs k >= 0, got {k}")
-    out = ONE
-    for i in range(1, k + 1):
-        out = out * quantum_int(i)
-    return out
-
-
-@lru_cache(maxsize=None)
-def gauss_binom(k: int, r: int) -> QPoly:
-    """Gaussian binomial [k]! / ([r]! [k-r]!), and 0 when r < 0 or r > k.
-
-    Computed by the q-Pascal recursion, which stays in Z[q] throughout:
-    choosing whether the last slot of a 0/1 sequence holds a 1 gives
-    gauss(k, r) = gauss(k-1, r-1) + q^r * gauss(k-1, r).
-    """
-    if k < 0:
-        raise ValueError(f"Gaussian binomial needs k >= 0, got {k}")
-    if r < 0 or r > k:
-        return ZERO
-    if r == 0 or r == k:
-        return ONE
-    return gauss_binom(k - 1, r - 1) + QPoly.monomial(r) * gauss_binom(k - 1, r)
-
-
-def validate_cable(K: int, a: int = 0, b: int = 0) -> None:
-    """Raise unless cable width K >= 1 and over/under group counts a, b lie in 0..K."""
-    if K < 1:
-        raise ValueError(f"cable width must be >= 1, got {K}")
-    if not 0 <= a <= K or not 0 <= b <= K:
-        raise ValueError(f"need 0 <= a, b <= K, got a={a}, b={b}, K={K}")
-
-
-def falling_probability(K: int, a: int, b: int, c: int) -> QPoly:
-    """Probability, as a polynomial in q, that exactly c balls fall at one
-    cabled crossing of width K when a balls enter the over group and b the
-    under group.
-
-    Closed form:
-
-        gauss(a, c) * gauss(K - b, c) * [c]! * (1 - q)^c * q^{(a-c)(K-b-c)}
-
-    The division by the formal infinite binomial 1/([c]!(1-q)^c) is folded in
-    as multiplication, so the result stays in Z[q].  Vanishes when c > a or
-    c > K - b (no way to pick the falling balls or the lanes they land in).
-    """
-    validate_cable(K, a, b)
-    if c < 0:
-        raise ValueError(f"need c >= 0, got c={c}")
-    if c > a or c > K - b:
-        return ZERO
-    out = gauss_binom(a, c) * gauss_binom(K - b, c) * q_factorial(c)
-    out = out * ONE_MINUS_Q**c
-    return out * QPoly.monomial((a - c) * (K - b - c))
 
 
 def poly_sum(polys: Iterable[QPoly]) -> QPoly:

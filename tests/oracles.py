@@ -1,5 +1,7 @@
-"""Counting oracles the tests check the package against: inversion counts and
-the permutation of a braid word, each by direct enumeration.
+"""Oracles the tests check the package against: inversion counts and the
+permutation of a braid word, each by direct enumeration, and the
+q-combinatorics of the cabled closed form as first written, with q-factorials
+and powers of 1 - q.
 
 ``permutation_of`` returns w with w(i) = final position of the lane that
 enters at position i, as a 1-based tuple of images; this is the convention of
@@ -8,6 +10,9 @@ permutation_of(u + v) = permutation_of(v) after permutation_of(u).
 """
 
 import itertools
+
+from braidbowl.cabled import gauss_binom
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, ZERO, QPoly, poly_sum
 
 
 def inversions_perm(w):
@@ -42,3 +47,55 @@ def permutation_of(word):
     for pos, lane in enumerate(lane_at, start=1):
         images[lane - 1] = pos
     return tuple(images)
+
+
+def power(p, k):
+    """p^k for k >= 0, by repeated multiplication."""
+    out = ONE
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def quantum_int(k):
+    """[k] = 1 + q + ... + q^{k-1}, the formal quotient (1 - q^k)/(1 - q)."""
+    if k < 0:
+        raise ValueError(f"quantum integer needs k >= 0, got {k}")
+    return QPoly((1,) * k)
+
+
+def q_factorial(k):
+    """[k]! = [k][k-1]...[1], with [0]! = 1."""
+    if k < 0:
+        raise ValueError(f"q-factorial needs k >= 0, got {k}")
+    out = ONE
+    for i in range(1, k + 1):
+        out = out * quantum_int(i)
+    return out
+
+
+def qfact_by_inversions(k):
+    """[k]! as the inversion-count generating function of the permutations of k."""
+    return poly_sum(
+        QPoly.monomial(inversions_perm(w))
+        for w in itertools.permutations(range(1, k + 1))
+    )
+
+
+def gauss_by_inversions(k, r):
+    """gauss(k, r) as the inversion-count generating function of the 0/1
+    sequences of length k with r ones."""
+    return poly_sum(
+        QPoly.monomial(inversions_binary(s))
+        for s in itertools.product((0, 1), repeat=k)
+        if sum(s) == r
+    )
+
+
+def falling_probability_by_factorials(K, a, b, c):
+    """The cabled closed form as gauss(a, c) gauss(K-b, c) [c]! (1-q)^c
+    q^((a-c)(K-b-c)), for 0 <= a, b <= K, and 0 when c > min(a, K-b)."""
+    if c > min(a, K - b):
+        return ZERO
+    out = gauss_binom(a, c) * gauss_binom(K - b, c) * q_factorial(c)
+    return out * power(ONE_MINUS_Q, c) * QPoly.monomial((a - c) * (K - b - c))

@@ -7,6 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lane_reference import reference, sweep_order
+from oracles import (
+    falling_probability_by_factorials,
+    gauss_by_inversions,
+    power,
+    q_factorial,
+    qfact_by_inversions,
+)
 
 import braidbowl.cabled as cabled
 from braidbowl.braid import BraidWord
@@ -18,11 +25,14 @@ from braidbowl.cabled import (
     check_oracle_placement_invariance,
     crossing_oracle,
     fall_distribution,
+    falling_probability,
+    gauss_binom,
     rho_cabled_matrix,
 )
+from braidbowl.cli import MAX_CABLE
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import index_state, record_word_pairs, rho_matrix, state_index
-from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, falling_probability, poly_sum
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, poly_sum
 from braidbowl.report import MAX_FAILURES, CheckReport
 
 
@@ -40,9 +50,9 @@ class TestCabledCrossing:
 
     def test_width_two_full_over_empty(self):
         assert dict(apply_generator_cabled(2, 0, 2)) == {
-            0: Q**4,
-            1: Q * ONE_MINUS_Q * (ONE + Q) ** 2,
-            2: (ONE + Q) * ONE_MINUS_Q**2,
+            0: QPoly.monomial(4),
+            1: Q * ONE_MINUS_Q * power(ONE + Q, 2),
+            2: (ONE + Q) * power(ONE_MINUS_Q, 2),
         }
 
     def test_no_empty_under_lanes(self):
@@ -89,9 +99,9 @@ class TestCrossingOracle:
 
     def test_width_two_reference_distribution(self):
         assert crossing_oracle(2, 2, 0) == {
-            0: Q**4,
-            1: Q * ONE_MINUS_Q * (ONE + Q) ** 2,
-            2: (ONE + Q) * ONE_MINUS_Q**2,
+            0: QPoly.monomial(4),
+            1: Q * ONE_MINUS_Q * power(ONE + Q, 2),
+            2: (ONE + Q) * power(ONE_MINUS_Q, 2),
         }
 
     def test_normalization(self):
@@ -207,6 +217,39 @@ def test_cabled_matrix_is_lumped_single_lane_model_on_cabled_word(word_and_K):
     expected = rho_cabled_matrix(word, K)
     for source, column in lumped_columns(word, K):
         assert {s: w for s, w in column.items() if w} == expected.cols[source]
+
+
+class TestClosedForm:
+    """``falling_probability`` as one product against the form with two
+    Gaussian binomials, [c]! and (1 - q)^c, and the q-combinatorics under
+    both against inversion counts."""
+
+    def test_product_form_equals_factorial_form(self):
+        for K in range(1, 9):
+            for a in range(K + 1):
+                for b in range(K + 1):
+                    with pytest.raises(ValueError, match="need c >= 0"):
+                        falling_probability(K, a, b, -1)
+                    for c in range(K + 2):
+                        got = falling_probability(K, a, b, c)
+                        assert got == falling_probability_by_factorials(K, a, b, c)
+                        assert (got == ZERO) == (c > min(a, K - b)), (K, a, b, c)
+
+    def test_product_form_at_the_widest_cable(self):
+        K = MAX_CABLE
+        for a, b in [(K, 0), (13, 5), (7, 12), (K, K), (0, 3)]:
+            for c in range(min(a, K - b) + 1):
+                expected = falling_probability_by_factorials(K, a, b, c)
+                assert falling_probability(K, a, b, c) == expected
+
+    def test_q_factorial_counts_inversions(self):
+        for k in range(5):
+            assert q_factorial(k) == qfact_by_inversions(k)
+
+    def test_gauss_binom_counts_inversions(self):
+        for k in range(6):
+            for r in range(k + 1):
+                assert gauss_binom(k, r) == gauss_by_inversions(k, r)
 
 
 class TestFormulaChecks:

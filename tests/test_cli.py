@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, parse_word
 from braidbowl.cabled import rho_cabled_matrix
-from braidbowl.cli import build_parser, main, run_suite
+from braidbowl.cli import build_parser, fraction_to_json, main, run_suite
 from braidbowl.multiball import index_state, rho_matrix, state_index
-from braidbowl.qpoly import QPoly, fraction_to_json
+from braidbowl.qpoly import QPoly
 from test_push import words
 
 

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, HeckeElement
-from braidbowl.cabled import rho_cabled_matrix
+from braidbowl.cabled import falling_probability, rho_cabled_matrix
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import index_state, rho_element, rho_matrix, state_index
-from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly, digit_width, falling_probability
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly, digit_width
 
 
 def reference_push(word, cap, rule, encode, decode):

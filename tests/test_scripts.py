@@ -26,9 +26,9 @@ def run_with_src(*argv):
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
 
 
-def check_all_names(capsys):
-    """Report names of ``braidbowl check all --n 3 --max-balls 1 --cable 1``."""
-    assert cli.main(["check", "all", "--n", "3", "--max-balls", "1", "--cable", "1",
+def check_all_names(capsys, max_balls=1):
+    """Report names of ``braidbowl check all --n 3 --max-balls N --cable 1``."""
+    assert cli.main(["check", "all", "--n", "3", "--max-balls", str(max_balls), "--cable", "1",
                      "--format", "json"]) == 0
     return [r["name"] for r in json.loads(capsys.readouterr().out)["reports"]]
 
@@ -39,6 +39,17 @@ def test_run_checks_passes_on_a_small_grid(capsys):
     assert proc.stdout.splitlines()[-1] == "ALL CHECKS PASSED"
     # the one size of this grid runs exactly the CLI's suite, in order
     assert report_names(proc.stdout) == check_all_names(capsys)
+
+
+def test_run_checks_prints_each_report_of_a_two_size_grid_once(capsys):
+    # n=3 at N=1 and N=2 share the K=1 cabled checks and the N=1 kernel
+    proc = run_with_src(str(SCRIPT), "--max-n", "3", "--max-balls", "2", "--max-cable", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    names = report_names(proc.stdout)
+    first, second = check_all_names(capsys, 1), check_all_names(capsys, 2)
+    assert set(first) & set(second)
+    assert len(names) == len(set(names))
+    assert names == list(dict.fromkeys(first + second))
 
 
 def test_run_checks_skips_sizes_the_cli_rejects(capsys, monkeypatch):

@@ -19,12 +19,13 @@ reach it.
 """
 
 import pytest
+from oracles import power, quantum_int
 
 from braidbowl import multiball
 from braidbowl.braid import BraidWord
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.multiball import index_state, rho_matrix
-from braidbowl.qpoly import ZERO, Q, QPoly, quantum_int, unpack
+from braidbowl.qpoly import ZERO, Q, QPoly, unpack
 
 POWERS = (*range(8), 20, 40)
 
@@ -32,7 +33,7 @@ POWERS = (*range(8), 20, 40)
 def weighted_trace(m, cap):
     """sum over two-strand states u of q^(u_1 + u_2) m[u, u]."""
     diagonal = ((j, m.cols.get(j, {}).get(j)) for j in range(m.dim))
-    return sum((Q ** sum(index_state(j, 2, cap)) * v for j, v in diagonal if v), ZERO)
+    return sum((QPoly.monomial(sum(index_state(j, 2, cap))) * v for j, v in diagonal if v), ZERO)
 
 
 def divide_by_one_plus_q(p):
@@ -48,14 +49,14 @@ def cabled_trace(K, r):
     total = ZERO
     for j in range(K + 1):
         eigenvalue = QPoly.monomial(j * K - j * (j - 1) // 2, (-1) ** j)
-        total = total + Q**j * quantum_int(2 * K - 2 * j + 1) * eigenvalue**r
+        total = total + QPoly.monomial(j) * quantum_int(2 * K - 2 * j + 1) * power(eigenvalue, r)
     return total
 
 
 def multiball_trace(N, r):
     d_a = divide_by_one_plus_q(Q * quantum_int(N) * quantum_int(N + 1))
-    d_s = quantum_int(N + 1) ** 2 - d_a
-    return d_s + d_a * (-Q) ** r
+    d_s = power(quantum_int(N + 1), 2) - d_a
+    return d_s + d_a * power(-Q, r)
 
 
 @pytest.fixture
