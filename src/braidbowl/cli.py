@@ -22,7 +22,7 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable
 
 from . import cabled as cabledmod
 from . import multiball
@@ -30,8 +30,8 @@ from .braid import parse_word, validate_window
 from .report import CheckReport
 
 MAX_DIM = 100_000
-# fall_distribution slows steeply with K; cabled.gauss_binom exceeds the
-# recursion limit at K=500.
+# The (K+1)^2 fall distributions of width K take 0.7 s at K=20 and 5 s at K=30
+# (one 2-vCPU VM); cabled.gauss_binom exceeds the recursion limit at K=500.
 MAX_CABLE = 20
 SUITES = ("braid", "hecke", "specht", "cabled", "stochastic", "all")
 
@@ -142,19 +142,11 @@ def cmd_fall(args) -> int:
     return 0
 
 
-def _specht_cases(n: int, N: int, k: int | None):
-    """Admissible kernel checks at or below the requested size (at k alone if given)."""
-    for Nw in range(1, min(N, n - 2) + 1):
-        for kw in range(1, n - Nw):
-            if k in (None, kw):
-                yield n, Nw, kw
-
-
-def run_suite(args) -> Iterator[CheckReport]:
-    """The reports of ``args.suite`` at the size in ``args``, one per check, in
-    order.  Raises ValueError on input ``check`` rejects before any check runs;
-    each size cap applies only to the suites that build that size."""
-    n, N, K, suite = args.n, args.max_balls, args.cable, args.suite
+def suite_calls(args) -> list[tuple[Callable[..., CheckReport], tuple]]:
+    """The checks of ``args.suite`` at the size in ``args`` as (check, arguments)
+    pairs in report order; none has run.  Raises ValueError on input ``check``
+    rejects; each size cap applies only to the suites that build that size."""
+    n, N, K, k, suite = args.n, args.max_balls, args.cable, args.k, args.suite
     if n < 2:
         raise ValueError("--n must be >= 2")
     if N < 1:
@@ -170,39 +162,38 @@ def run_suite(args) -> Iterator[CheckReport]:
         _check_dim(K + 1, n)
     if suite in ("braid", "all") and n < 3:
         raise ValueError("braid relation checks need --n >= 3")
-    if suite in ("specht", "all") and args.k is not None and not 1 <= args.k <= n - 2:
+    if suite in ("specht", "all") and k is not None and not 1 <= k <= n - 2:
         raise ValueError(f"--k must be in 1..{n - 2} at --n {n}")
     if suite == "specht":
-        validate_window(n, N, 1 if args.k is None else args.k)
-    return _suite_reports(args)
+        validate_window(n, N, 1 if k is None else k)
 
-
-def _suite_reports(args) -> Iterator[CheckReport]:
-    n, N, K, suite = args.n, args.max_balls, args.cable, args.suite
+    calls = []
     if suite in ("braid", "all"):
-        yield multiball.check_braid_relation(n, N)
+        calls.append((multiball.check_braid_relation, (n, N)))
         if n >= 4:
-            yield multiball.check_far_commutativity(n, N)
+            calls.append((multiball.check_far_commutativity, (n, N)))
     if suite in ("hecke", "all"):
-        yield multiball.check_hecke(n, N, corrupt=args.corrupt_generator)
+        calls.append((multiball.check_hecke, (n, N, args.corrupt_generator)))
     if suite == "specht":
-        yield multiball.check_specht(n, N, args.k if args.k is not None else 1)
+        calls.append((multiball.check_specht, (n, N, 1 if k is None else k)))
     if suite == "all":
-        for case in _specht_cases(n, N, args.k):
-            yield multiball.check_specht(*case)
+        # the windows at or below N that fit (none for n - Nw < 2), at k alone if given
+        calls += [(multiball.check_specht, (n, Nw, kw))
+                  for Nw in range(1, N + 1) for kw in range(1, n - Nw) if k in (None, kw)]
     if suite in ("cabled", "all"):
-        yield cabledmod.check_cabled_braid_relation(max(n, 3), K)
-        yield cabledmod.check_cabled_formula(K)
-        yield cabledmod.check_oracle_placement_invariance(K)
+        calls += [(cabledmod.check_cabled_braid_relation, (max(n, 3), K)),
+                  (cabledmod.check_cabled_formula, (K,)),
+                  (cabledmod.check_oracle_placement_invariance, (K,))]
     if suite in ("stochastic", "all"):
-        yield multiball.check_stochastic(n, N)
+        calls.append((multiball.check_stochastic, (n, N)))
     if suite == "all":
-        for x in (Fraction(1, 2), Fraction(2), Fraction(-1)):
-            yield multiball.check_inverse(n, N, x)
+        calls += [(multiball.check_inverse, (n, N, x))
+                  for x in (Fraction(1, 2), Fraction(2), Fraction(-1))]
+    return calls
 
 
 def cmd_check(args) -> int:
-    reports = list(run_suite(args))
+    reports = [check(*arguments) for check, arguments in suite_calls(args)]
     passed = all(r.passed for r in reports)
     if args.format == "json":
         print(json.dumps({"passed": passed, "reports": [r.to_json() for r in reports]}))

@@ -7,10 +7,10 @@ empty tuple).  Coefficients are Python ints, so long products never
 overflow.  Rational evaluation points use ``fractions.Fraction``, which
 already is the reduced-fraction scalar we need.
 
-Validation happens only at the boundary: ``QPoly(...)`` (and the ``monomial``
-helper built on it) rejects any coefficient that is not an ``int``.  Results
-of ``+``, ``-``, ``*`` and negation are built from coefficients that are ints
-by construction, so they skip that scan and only strip trailing zeros.
+Validation happens only at the boundary: ``QPoly(...)`` rejects any
+coefficient that is not an ``int``.  Results of ``+``, ``-``, ``*`` and
+negation are built from coefficients that are ints by construction, so they
+skip that scan and only strip trailing zeros.
 
 ``pack`` and ``unpack`` are the Kronecker codec of the push kernel: a
 polynomial whose coefficients all satisfy |c| < 2^(B-1) is the Python int
@@ -43,10 +43,10 @@ class QPoly:
         object.__setattr__(self, "coeffs", _strip(coeffs))
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> QPoly:
+    def monomial(cls, power: int) -> QPoly:
         if power < 0:
             raise ValueError("negative powers of q are not representable")
-        return cls((0,) * power + (coeff,))
+        return cls((0,) * power + (1,))
 
     @property
     def degree(self) -> int:
@@ -90,9 +90,11 @@ class QPoly:
         if not a or not b:
             return ZERO
         out = [0] * (len(a) + len(b) - 1)
+        # skip b's zeros: the cabled factors q^e and 1 - q^j are sparse
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
+                for j, y in b_terms:
                     out[i + j] += x * y
         return _trusted(tuple(out))
 

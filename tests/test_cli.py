@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, parse_word
 from braidbowl.cabled import rho_cabled_matrix
-from braidbowl.cli import build_parser, fraction_to_json, main, run_suite
+from braidbowl.cli import SUITES, build_parser, fraction_to_json, main, suite_calls
 from braidbowl.multiball import index_state, rho_matrix, state_index
 from braidbowl.qpoly import QPoly
 from test_push import words
@@ -419,10 +419,31 @@ def test_k_outside_the_window_starts_is_a_usage_error(capsys, suite, k):
 def test_specht_window_that_does_not_fit_is_rejected_before_any_check_runs(capsys, size, message):
     args = build_parser().parse_args(["check", "specht", *size])
     with pytest.raises(ValueError) as exc:
-        run_suite(args)  # raises here, not on the first report
+        suite_calls(args)
     assert str(exc.value) == message
     code, out, err = run(capsys, "check", "specht", *size)
     assert code == 2 and err == f"error: {message}\n" and out == ""
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_calls_lists_the_checks_without_running_any(monkeypatch, suite):
+    def no_push(*_args):
+        raise AssertionError("a check ran while its suite was listed")
+
+    monkeypatch.setattr(multiball, "push_columns", no_push)
+    monkeypatch.setattr(cabled, "push_columns", no_push)
+    assert suite_calls(build_parser().parse_args(["check", suite, "--n", "4", "--max-balls", "2"]))
+
+
+def test_suite_calls_of_check_all_run_to_the_golden_reports_in_order(capsys):
+    argv = ["check", "all", "--n", "4", "--max-balls", "2", "--cable", "3", "--format", "json"]
+    calls = suite_calls(build_parser().parse_args(argv))
+    assert len(calls) == 13
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [check(*arguments).name for check, arguments in calls] == [
+        r["name"] for r in json.loads(out)["reports"]
+    ]
 
 
 def test_check_all_runs_k_only_where_it_is_admissible(capsys):

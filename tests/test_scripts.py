@@ -6,9 +6,10 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
-from braidbowl import cli
+from braidbowl import cabled, cli, multiball
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "run_checks.py"
@@ -24,6 +25,13 @@ def run_with_src(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_checks", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def check_all_names(capsys, max_balls=1):
@@ -52,13 +60,31 @@ def test_run_checks_prints_each_report_of_a_two_size_grid_once(capsys):
     assert names == list(dict.fromkeys(first + second))
 
 
+def test_run_checks_runs_each_check_of_a_two_size_grid_once(capsys, monkeypatch):
+    runs = Counter()
+
+    def spy(module, name):
+        check = getattr(module, name)
+
+        def counted(*arguments, **options):
+            runs[name, arguments, tuple(options.items())] += 1
+            return check(*arguments, **options)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (multiball, cabled):
+        for name in dir(module):
+            if name.startswith("check_"):
+                spy(module, name)
+    code = load_script().main(["--max-n", "3", "--max-balls", "2", "--max-cable", "1"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert len(runs) == len(report_names(out)) and set(runs.values()) == {1}, runs
+
+
 def test_run_checks_skips_sizes_the_cli_rejects(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_DIM", 10)
-    spec = importlib.util.spec_from_file_location("run_checks", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-
-    code = script.main(["--max-n", "3", "--max-balls", "2", "--max-cable", "1"])
+    code = load_script().main(["--max-n", "3", "--max-balls", "2", "--max-cable", "1"])
     out = capsys.readouterr().out
     assert code == 0, out
     skips = [line for line in out.splitlines() if line.startswith("SKIP")]

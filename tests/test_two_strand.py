@@ -48,7 +48,7 @@ def divide_by_one_plus_q(p):
 def cabled_trace(K, r):
     total = ZERO
     for j in range(K + 1):
-        eigenvalue = QPoly.monomial(j * K - j * (j - 1) // 2, (-1) ** j)
+        eigenvalue = (-1) ** j * QPoly.monomial(j * K - j * (j - 1) // 2)
         total = total + QPoly.monomial(j) * quantum_int(2 * K - 2 * j + 1) * power(eigenvalue, r)
     return total
 
