@@ -22,12 +22,17 @@ def apply(cols: dict[int, Column], vec: Column) -> Column:
     """The sparse columns ``cols`` applied to the sparse vector ``vec``: the
     sum over r of vec[r] * cols[r], with zero entries dropped.
 
-    Products are taken as (vector weight) * (matrix entry).
+    Products are taken as (vector weight) * (matrix entry), except that a
+    weight equal to the int 1 takes each entry as it is: ``+`` then keeps the
+    entries held by one operand only, and the push adds packed entries
+    without multiplying.  A ``QPoly`` never equals an int, so a ``QPoly``
+    weight always multiplies.
     """
     out: Column = {}
     for r, w in vec.items():
+        one = w == 1
         for i, p in cols.get(r, {}).items():
-            term = w * p
+            term = p if one else w * p
             acc = out.get(i)
             if acc is None:
                 out[i] = term

@@ -13,15 +13,17 @@ each c given (a, b); ``cabled`` is another.  Here (``apply_generator``):
   with weight 1 - q, which leaves the count tuple unchanged.
 
 States are n-tuples with 0 <= u_i <= N, indexed in mixed radix base N+1.
-``rho_matrix`` pushes every basis state through the word as a sparse
-distribution; the (v, u) entry of the result is the probability that bowling
-u collects v.  A crossing reads only the two counts (a, b) it meets, so the
-push (``push_columns``) asks the fall distribution once per pair (a, b), not
-per state, and moves the two digits of every state by index arithmetic.  rho is
-linear: ``rho_element`` of sum_t c_t w_t is one push whose column j starts at
-c_t for term t, so columns sum to sum_t c_t.  Composition convention: the
-matrix of w_1 ... w_m is M(w_m) @ ... @ M(w_1) acting on column vectors of
-input distributions.
+The (v, u) entry of ``rho_matrix`` is the probability that bowling u
+collects v.  Composition convention: the matrix of w_1 ... w_m is
+M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.  The
+push (``push_columns``) builds it right to left, M(l s) = M(s) @ M(l), one
+suffix of the word at a time.  A crossing reads only the two counts (a, b)
+it meets, so the push asks the fall distribution once per pair (a, b), not
+per state, and moves the two digits of every state by index arithmetic; a
+column that the crossing moves whole, with weight 1, is a column of M(s)
+taken as it is.  rho is linear: ``rho_element`` of sum_t c_t w_t is one push
+over the distinct suffixes of all the words, adding c_t M(w_t) as each word
+is reached, so columns sum to sum_t c_t.
 
 The check_* functions verify, in exact arithmetic, the braid relation, far
 commutativity, the quadratic relation (q + sigma)(1 - sigma) = 0, the kernel
@@ -32,7 +34,6 @@ the inverse formula sigma^{-1} = q^{-1}(sigma + q - 1) at rational q.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .braid import BraidWord, HeckeElement, specht_element, specht_half
@@ -102,16 +103,28 @@ def push_columns(
     0..min(a, radix-1-b) would move a digit out of its range, so it raises
     ``ValueError`` naming the pair.  When the terms hold a letter, ``fall`` is
     called once for each of the radix^2 pairs; a push without letters calls
-    it not at all.  Each letter's generator columns are tabulated once from
-    those pairs.
+    it not at all.  Each letter's generator columns G_l are tabulated once
+    from those pairs.
 
-    Column j of term t starts as {j: c_t}, is pushed through w_t with
-    ``apply`` on packed ints (``qpoly.pack``), and ``apply`` sums the terms.
+    The matrices are built right to left over the distinct suffixes of the
+    words, in packed ints (``qpoly.pack``): M(()) is the identity and
+    M(l s) = M(s) @ G_l, so column j of M(l s) is ``apply(M(s), G_l[j])``.
+    Where G_l sends j to one state t with weight 1 (a <= b in the
+    single-lane model), that column is column t of M(s) itself, shared, not
+    copied.  Repeated words add their coefficients, and words whose sum is 0
+    are dropped.  Only two layers of suffixes, of lengths L and L + 1, are
+    held at once: once layer L is built, the words of length L are added,
+    each scaled by its coefficient, into the running sum.  A lone word with
+    coefficient 1 is its own sum.
+
     A generator column's weights have total coefficient L1 norm at most
-    ``growth``, so by the triangle inequality no coefficient of any partial or
-    total sum exceeds sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum of
-    |coefficient|), which sets the digit width.  Each branch weight is packed
-    once, and each distinct entry is decoded once into a shared QPoly.
+    ``growth``, so a column of M(s) has norm at most growth^len(s).  By the
+    triangle inequality no coefficient of an entry of M(s), for s a suffix
+    of w_t, nor of any partial or total sum, exceeds
+    sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum of |coefficient|), which
+    sets the digit width.  Each branch weight is packed once, and each
+    distinct entry is decoded once into a shared QPoly; the returned columns
+    are distinct dicts.
     """
     dim = radix**n
     letters = {i for word, _c in terms for i in word.letters}
@@ -129,31 +142,44 @@ def push_columns(
         (a, b): [(b + c - a, a - c - b, pack(w, width)) for c, w in cs]
         for (a, b), cs in falls.items()
     }
-    gens: dict[int, dict[int, dict[int, int]]] = {}
+    # gens[i][j]: the state t where sigma_i sends j with weight 1, else G_i[j].
+    gens: dict[int, list[int | dict[int, int]]] = {}
     for i in letters:
         lo, hi = radix ** (i - 1), radix**i
-        gens[i] = {}
+        gens[i] = []
         for s in range(dim):
-            a, b = s // lo % radix, s // hi % radix
-            gens[i][s] = {s + d0 * lo + d1 * hi: x for d0, d1, x in moves[a, b]}
-    starts = [(word.letters, pack(c, width)) for word, c in terms]
-    step = lambda dist, i: apply(gens[i], dist)
-    ones = dict.fromkeys(range(len(starts)), 1)
-    cols: dict[int, dict[int, int]] = {}
-    for j in range(dim):
-        pushed = {t: reduce(step, word, {j: c}) for t, (word, c) in enumerate(starts)}
-        # One term is already the sum; apply would copy it (3-19% slower on rho/cabled).
-        cols[j] = pushed[0] if len(starts) == 1 else apply(pushed, ones)
-    decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, cols.values()))}
+            branches = moves[s // lo % radix, s // hi % radix]
+            col = {s + d0 * lo + d1 * hi: x for d0, d1, x in branches}
+            gens[i].append(next(iter(col)) if list(col.values()) == [1] else col)
+    step = lambda m, gen: {j: m[g] if type(g) is int else apply(m, g) for j, g in enumerate(gen)}
+    ends: dict[tuple[int, ...], int] = {}
+    for word, c in terms:
+        ends[word.letters] = ends.get(word.letters, 0) + pack(c, width)
+    ends = {word: x for word, x in ends.items() if x}
+    layer = {(): {j: {j: 1} for j in range(dim)}}
+    total: dict[int, dict[int, int]] = {}
+    for length in range(max(map(len, ends), default=-1) + 1):
+        if length:
+            suffixes = {word[-length:] for word in ends if len(word) >= length}
+            layer = {s: step(layer[s[1:]], gens[s[0]]) for s in suffixes}
+        parts = [(layer[word], x) for word, x in ends.items() if len(word) == length]
+        if total:
+            parts.append((total, 1))
+        if len(parts) == 1 and parts[0][1] == 1:
+            total = parts[0][0]
+        elif parts:
+            mats, weights = (dict(enumerate(side)) for side in zip(*parts))
+            total = {j: apply({k: m[j] for k, m in mats.items()}, weights) for j in range(dim)}
+    decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, total.values()))}
     return TransitionMatrix(
         dim,
-        {j: {t: decoded[x] for t, x in col.items()} for j, col in cols.items()},
+        {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()},
         poly_sum(c for _word, c in terms),
     )
 
 
 def rho_matrix(word: BraidWord, N: int) -> TransitionMatrix:
-    """The transition matrix of a word, built column by column."""
+    """The transition matrix of a word."""
     _validate_sizes(word.n, N)
     return push_columns(((word, ONE),), word.n, N + 1, apply_generator)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidbowl import cabled, multiball
-from braidbowl.braid import BraidWord, HeckeElement
+from braidbowl.braid import BraidWord, HeckeElement, specht_element, specht_half
 from braidbowl.cabled import falling_probability, rho_cabled_matrix
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import index_state, rho_element, rho_matrix, state_index
@@ -144,12 +144,12 @@ def test_rho_cabled_matrix_with_entries_beyond_8_bit_digits(letters):
     assert rho_cabled_matrix(word, 3) == expected
 
 
-def scaled_sum(n, terms, N):
+def scaled_sum(n, terms, N, matrix_of=rho_matrix):
     """sum_t c_t rho(w_t) the per-word way: one push, one ``scale`` and one
     ``+`` per term, in the order given (repeated words included)."""
     out = Matrix((N + 1) ** n)
     for word, coeff in terms:
-        out = out + rho_matrix(word, N).scale(coeff)
+        out = out + matrix_of(word, N).scale(coeff)
     return out
 
 
@@ -174,6 +174,88 @@ def elements(draw, max_n=4, max_terms=5, max_len=6):
 def test_rho_element_matches_sum_of_scaled_word_matrices(element, N):
     n, terms = element
     assert rho_element(HeckeElement(n, tuple(terms)), N) == scaled_sum(n, terms, N)
+
+
+nonzero_coefficients = coefficients.filter(bool)
+
+
+@st.composite
+def suffix_elements(draw, max_n=4, max_len=6):
+    """(n, terms) whose words are suffixes of one or two base words, so that
+    they share suffixes, and some words end inside longer ones.  The terms
+    always hold the empty word, one word twice and a pair of terms that
+    cancels, in a drawn order."""
+    n = draw(st.integers(2, max_n))
+    letters = st.lists(st.integers(1, n - 1), min_size=1, max_size=max_len)
+    bases = draw(st.lists(letters, min_size=1, max_size=2))
+    pool = [BraidWord(n, tuple(base[k:])) for base in bases for k in range(len(base) + 1)]
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coefficients), max_size=5))
+    again, cancelled = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    c = draw(nonzero_coefficients)
+    terms += [
+        (BraidWord(n), draw(nonzero_coefficients)),
+        (again, draw(coefficients)),
+        (again, draw(coefficients)),
+        (cancelled, c),
+        (cancelled, -c),
+    ]
+    return n, draw(st.permutations(terms))
+
+
+@given(suffix_elements(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_shared_suffixes_match_sum_of_scaled_word_matrices(element, N):
+    n, terms = element
+    assert rho_element(HeckeElement(n, tuple(terms)), N) == scaled_sum(n, terms, N)
+
+
+@given(suffix_elements(max_n=3, max_len=5), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_shared_cabled_suffixes_match_sum_of_scaled_word_matrices(element, K):
+    n, terms = element
+    fall = lambda a, b: cabled.apply_generator_cabled(a, b, K)
+    expected = scaled_sum(n, terms, K, rho_cabled_matrix)
+    assert multiball.push_columns(terms, n, K + 1, fall) == expected
+
+
+@pytest.fixture(scope="module")
+def window_word_matrices():
+    """rho at N' = 3 of every word of the window element x_1 at (6,2,1), where
+    x_1 is not killed; its halves' words are among them."""
+    return {word: rho_matrix(word, 3) for word, _c in specht_element(6, 2, 1).terms}
+
+
+@pytest.mark.parametrize("half", [None, 1, 2, 3])
+def test_window_elements_match_sum_of_scaled_word_matrices(window_word_matrices, half):
+    x = specht_element(6, 2, 1) if half is None else specht_half(6, 2, 1, half)
+    expected = scaled_sum(6, x.terms, 3, lambda word, _N: window_word_matrices[word])
+    assert expected != Matrix(4**6)
+    assert rho_element(x, 3) == expected
+
+
+def test_returned_columns_share_no_dict():
+    # Most crossings of this word meet a <= b and so share a column of the
+    # suffix matrix inside the push; the result must not.  In the last model
+    # every ball that fits falls with weight 1, so a crossing sends several
+    # states to one state, and their columns are one dict inside the push.
+    word = BraidWord(4, (1, 2, 3, 1, 2, 1, 3, 2, 3))
+    x = HeckeElement(4, ((word, ONE), (BraidWord(4, word.letters[3:]), Q)))
+    all_fall = lambda a, b: ((min(a, 2 - b), ONE),)
+    for m in (
+        rho_matrix(word, 2),
+        rho_element(x, 2),
+        rho_cabled_matrix(word, 2),
+        multiball.push_columns(((word, ONE),), 4, 3, all_fall),
+    ):
+        assert len({id(col) for col in m.cols.values()}) == len(m.cols) == m.dim
+
+
+def test_only_split_columns_are_applied(monkeypatch):
+    # On two strands at N = 1 the crossing splits only the state (1, 0), so
+    # each letter of sigma_1^3 costs one apply; the other columns are shared.
+    calls = recorded_calls(monkeypatch, multiball, "apply")
+    rho_matrix(BraidWord(2, (1, 1, 1)), 1)
+    assert len(calls) == 3
 
 
 def test_rho_element_of_the_empty_element_is_zero():
