@@ -10,7 +10,9 @@ check SUITE [size flags]         run verification checks; exit 0 iff all pass
 
 Exit codes: 0 pass, 1 check failure, 2 usage error.  Output is byte
 deterministic for fixed inputs: entries are sorted by (column, row) and all
-polynomials are canonical.  JSON output encodes each distinct entry once and
+polynomials are canonical.  Both formats walk the matrix one sorted column at
+a time and format each distinct entry once, where the walk first meets it.
+JSON output writes a polynomial's text directly (``QPoly.json_text``) and
 joins the entries as text, the bytes of ``json.dumps`` of the whole matrix.
 """
 
@@ -27,6 +29,8 @@ from typing import Callable
 from . import cabled as cabledmod
 from . import multiball
 from .braid import parse_word, validate_window
+from .matrix import Matrix
+from .qpoly import QPoly
 from .report import CheckReport
 
 MAX_DIM = 100_000
@@ -79,6 +83,25 @@ def _check_cable(K: int) -> None:
         raise ValueError(f"--cable must be in 1..{MAX_CABLE} (desk-scale)")
 
 
+def _column_texts(m: Matrix, fmt: Callable[[object], str]):
+    """Each column of ``m`` in order as (j, rows, texts): the column's rows
+    sorted, and texts[k] = fmt(entry (rows[k], j)).  Equal entries share one
+    object (from the push or ``eval_at``), so each object is formatted once,
+    found in this same walk."""
+    shown: dict[int, str] = {}
+    for j in sorted(m.cols):
+        col = m.cols[j]
+        rows = sorted(col)
+        texts = []
+        for i in rows:
+            v = col[i]
+            text = shown.get(id(v))
+            if text is None:
+                text = shown[id(v)] = fmt(v)
+            texts.append(text)
+        yield j, rows, texts
+
+
 def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
     """Shared body of ``rho`` and ``cabled``: ``build(word)`` is the transition
     matrix on states of n counts in 0..cap."""
@@ -89,20 +112,21 @@ def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
         m = build(word)
         if eval_q is not None:
             m = m.eval_at(eval_q)
-        # Equal entries share one object (from the push or eval_at): encode each once.
-        fmt = (lambda v: json.dumps(_value_json(v, eval_q))) if args.format == "json" else str
-        distinct = {id(v): v for col in m.cols.values() for v in col.values()}
-        shown = {key: fmt(v) for key, v in distinct.items()}
         if args.format == "json":
-            body = ", ".join(f"[{i}, {j}, {shown[id(v)]}]" for i, j, v in m.entries_sorted())
+            fmt = QPoly.json_text if eval_q is None else (lambda v: json.dumps(fraction_to_json(v)))
+            entries = []
+            for j, rows, texts in _column_texts(m, fmt):
+                mid = f", {j}, "
+                entries += [f"[{i}{mid}{text}]" for i, text in zip(rows, texts)]
             meta = {"n": args.n, cap_name: cap, "dim": m.dim, "entries": []}
             head, tail = json.dumps(meta).rsplit("[]", 1)
-            print(f"{head}[{body}]{tail}", file=out)
+            print(f"{head}[{', '.join(entries)}]{tail}", file=out)
         else:
             label = [str(list(u)) for u in multiball.all_states(args.n, cap)]
             lines = [f"n={args.n} {cap_name}={cap} word='{word}' dim={m.dim}"]
-            for i, j, v in m.entries_sorted():
-                lines.append(f"  u={label[j]} -> v={label[i]}: {shown[id(v)]}")
+            for j, rows, texts in _column_texts(m, str):
+                head = f"  u={label[j]} -> v="
+                lines += [f"{head}{label[i]}: {text}" for i, text in zip(rows, texts)]
             print("\n".join(lines), file=out)
     return 0
 

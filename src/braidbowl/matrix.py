@@ -11,7 +11,6 @@ body of ``@``, ``+`` and ``-``, and also runs on the packed ints of
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from .qpoly import ONE, poly_sum
 
@@ -108,13 +107,6 @@ class Matrix:
             self.dim,
             {j: {i: value[id(v)] for i, v in col.items()} for j, col in self.cols.items()},
         )
-
-    def entries_sorted(self) -> Iterator[tuple[int, int, object]]:
-        """All nonzero entries as (row, col, value), sorted by (col, row)."""
-        for j in sorted(self.cols):
-            col = self.cols[j]
-            for i in sorted(col):
-                yield i, j, col[i]
 
     def __repr__(self) -> str:
         nnz = sum(len(c) for c in self.cols.values())

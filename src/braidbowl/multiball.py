@@ -104,7 +104,12 @@ def push_columns(
     ``ValueError`` naming the pair.  When the terms hold a letter, ``fall`` is
     called once for each of the radix^2 pairs; a push without letters calls
     it not at all.  Each letter's generator columns G_l are tabulated once
-    from those pairs.
+    from those pairs, with no arithmetic per state: along the states, the
+    pair (a, b) that sigma_i meets holds for a run of radix^(i-1) states and
+    repeats with period radix^(i+1).  Each pair gives one shift of the
+    index, an int where the crossing moves the state whole with weight 1,
+    else a list of (offset, packed weight); one period of shifts, repeated
+    to dim, lays out the table.
 
     The matrices are built right to left over the distinct suffixes of the
     words, in packed ints (``qpoly.pack``): M(()) is the identity and
@@ -138,19 +143,25 @@ def push_columns(
     l1 = lambda p: sum(map(abs, p.coeffs))
     growth = max((sum(l1(w) for _c, w in cs) for cs in falls.values()), default=1)
     width = digit_width(sum(l1(c) * growth ** len(word) for word, c in terms))
-    moves = {
-        (a, b): [(b + c - a, a - c - b, pack(w, width)) for c, w in cs]
-        for (a, b), cs in falls.items()
-    }
+    # moves[r]: (digit move, packed weight) per branch of the pair (a, b) that
+    # run r of a period meets, r = a + radix b.  Digits i and i+1 move by
+    # (d, -d), so the index moves by d (lo - hi).
+    moves = [[(b + c - a, pack(w, width)) for c, w in falls[a, b]] for b in counts for a in counts]
     # gens[i][j]: the state t where sigma_i sends j with weight 1, else G_i[j].
     gens: dict[int, list[int | dict[int, int]]] = {}
     for i in letters:
         lo, hi = radix ** (i - 1), radix**i
-        gens[i] = []
-        for s in range(dim):
-            branches = moves[s // lo % radix, s // hi % radix]
-            col = {s + d0 * lo + d1 * hi: x for d0, d1, x in branches}
-            gens[i].append(next(iter(col)) if list(col.values()) == [1] else col)
+        shifts = [
+            ms[0][0] * (lo - hi) if len(ms) == 1 and ms[0][1] == 1
+            else [(d * (lo - hi), x) for d, x in ms]
+            for ms in moves
+        ]
+        # One period, hi * radix states, is the radix^2 runs of lo states each.
+        period = [sh for sh in shifts for _ in range(lo)] * (dim // (hi * radix))
+        gens[i] = [
+            s + sh if type(sh) is int else {s + o: x for o, x in sh}
+            for s, sh in zip(range(dim), period)
+        ]
     step = lambda m, gen: {j: m[g] if type(g) is int else apply(m, g) for j, g in enumerate(gen)}
     ends: dict[tuple[int, ...], int] = {}
     for word, c in terms:

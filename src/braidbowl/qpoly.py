@@ -126,6 +126,11 @@ class QPoly:
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs)}
 
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json())`` without the encoder: the JSON text of
+        a list of ints is the list's own text."""
+        return f'{{"coeffs": {list(self.coeffs)}}}'
+
 
 def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     end = len(coeffs)

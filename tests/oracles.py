@@ -1,7 +1,8 @@
 """Oracles the tests check the package against: inversion counts and the
-permutation of a braid word, each by direct enumeration, and the
+permutation of a braid word, each by direct enumeration, the
 q-combinatorics of the cabled closed form as first written, with q-factorials
-and powers of 1 - q.
+and powers of 1 - q, a generator matrix built state by state, and the entries
+of a matrix in output order.
 
 ``permutation_of`` returns w with w(i) = final position of the lane that
 enters at position i, as a 1-based tuple of images; this is the convention of
@@ -12,6 +13,8 @@ permutation_of(u + v) = permutation_of(v) after permutation_of(u).
 import itertools
 
 from braidbowl.cabled import gauss_binom
+from braidbowl.matrix import Matrix
+from braidbowl.multiball import index_state, state_index
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, ZERO, QPoly, poly_sum
 
 
@@ -99,3 +102,26 @@ def falling_probability_by_factorials(K, a, b, c):
         return ZERO
     out = gauss_binom(a, c) * gauss_binom(K - b, c) * q_factorial(c)
     return out * power(ONE_MINUS_Q, c) * QPoly.monomial((a - c) * (K - b - c))
+
+
+def generator_by_states(i, n, cap, fall):
+    """The matrix of sigma_i on n strands with counts in 0..cap, one state at
+    a time: decode the state, read its counts (a, b) at positions i and i+1,
+    and send it to (b + c, a - c) there with fall(a, b)'s weight for c."""
+    cols = {}
+    for j in range((cap + 1) ** n):
+        u = index_state(j, n, cap)
+        a, b = u[i - 1], u[i]
+        cols[j] = {
+            state_index(u[: i - 1] + (b + c, a - c) + u[i + 1 :], cap): w for c, w in fall(a, b)
+        }
+    return Matrix((cap + 1) ** n, cols)
+
+
+def entries_sorted(m):
+    """All nonzero entries of m as (row, col, value), sorted by (col, row):
+    the order of the CLI's output."""
+    for j in sorted(m.cols):
+        col = m.cols[j]
+        for i in sorted(col):
+            yield i, j, col[i]

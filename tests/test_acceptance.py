@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from lane_reference import reference
-from oracles import gauss_by_inversions, q_factorial, qfact_by_inversions
+from oracles import entries_sorted, gauss_by_inversions, q_factorial, qfact_by_inversions
 
 from braidbowl.braid import BraidWord, parse_word
 from braidbowl.cabled import (
@@ -141,7 +141,7 @@ def test_criterion_8_property_suites():
 
             for j in range(m.dim):
                 assert poly_sum(m.cols.get(j, {}).values()) == ONE
-            for i, j, _v in m.entries_sorted():
+            for i, j, _v in entries_sorted(m):
                 assert sum(index_state(i, n, N)) == sum(index_state(j, n, N))
 
             def run(u, swap_when):

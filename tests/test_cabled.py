@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lane_reference import reference, sweep_order
 from oracles import (
+    entries_sorted,
     falling_probability_by_factorials,
     gauss_by_inversions,
     power,
@@ -82,7 +83,7 @@ class TestCabledMatrix:
 
     def test_ball_conservation(self):
         m = rho_cabled_matrix(BraidWord(3, (2, 1, 2)), 2)
-        for i, j, _v in m.entries_sorted():
+        for i, j, _v in entries_sorted(m):
             assert sum(index_state(i, 3, 2)) == sum(index_state(j, 3, 2))
 
     def test_index_roundtrip(self):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import entries_sorted
 
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, parse_word
@@ -277,11 +278,11 @@ def test_evaluated_output_matches_each_entry_evaluated_and_formatted(capsys, arg
     is passed in the ``--eval-q=`` form, which also reads a negative fraction."""
     m = build(parse_word(argv[1], int(argv[3]))).eval_at(Fraction(q))
     _, out, _ = run(capsys, *argv, f"--eval-q={q}")
-    expected = [[i, j, fraction_to_json(v)] for i, j, v in m.entries_sorted()]
+    expected = [[i, j, fraction_to_json(v)] for i, j, v in entries_sorted(m)]
     assert json.loads(out)["entries"] == expected
     _, out, _ = run(capsys, *argv, f"--eval-q={q}", "--format", "pretty")
     assert [line.rsplit(": ", 1)[1] for line in out.splitlines()[1:]] == [
-        str(v) for _i, _j, v in m.entries_sorted()
+        str(v) for _i, _j, v in entries_sorted(m)
     ]
 
 
@@ -303,10 +304,10 @@ def whole_matrix_json(command: str, word: BraidWord, cap: int, q: str | None) ->
     _flag, cap_name, build = MODELS[command]
     m = build(word, cap)
     if q is None:
-        entries = [[i, j, v.to_json()] for i, j, v in m.entries_sorted()]
+        entries = [[i, j, v.to_json()] for i, j, v in entries_sorted(m)]
     else:
         m = m.eval_at(Fraction(q))
-        entries = [[i, j, fraction_to_json(v)] for i, j, v in m.entries_sorted()]
+        entries = [[i, j, fraction_to_json(v)] for i, j, v in entries_sorted(m)]
     return json.dumps({"n": word.n, cap_name: cap, "dim": m.dim, "entries": entries}) + "\n"
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import entries_sorted
 
 from braidbowl import multiball
 from braidbowl.braid import BraidWord, HeckeElement, parse_word, specht_element
@@ -220,7 +221,7 @@ class TestProperties:
     def test_ball_conservation(self, nw, N):
         n, letters = nw
         m = rho_matrix(BraidWord(n, letters), N)
-        for i, j, _v in m.entries_sorted():
+        for i, j, _v in entries_sorted(m):
             assert sum(index_state(i, n, N)) == sum(index_state(j, n, N))
 
     @given(words, st.integers(1, 2), st.data())

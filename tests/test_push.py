@@ -4,17 +4,23 @@ in QPoly arithmetic, including words on both sides of every digit-width
 change, and against the per-word sum of scaled matrices for combinations of
 words.  The reference rules are written out here on whole states, so they
 check where the push places each branch, and share no code with the fall
-distributions the push reads or with its digit moves."""
+distributions the push reads or with its digit moves.  One-letter matrices
+are also built state by state from those same fall distributions
+(``oracles.generator_by_states``), which checks the layout of the push's
+generator tables alone."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import entries_sorted, generator_by_states
 
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, HeckeElement, specht_element, specht_half
 from braidbowl.cabled import falling_probability, rho_cabled_matrix
 from braidbowl.matrix import Matrix
-from braidbowl.multiball import index_state, rho_element, rho_matrix, state_index
+from braidbowl.multiball import (
+    generator_matrix, index_state, rho_element, rho_matrix, state_index,
+)
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly, digit_width
 
 
@@ -140,8 +146,22 @@ def test_rho_cabled_matrix_at_digit_width_edges(n, K, length):
 def test_rho_cabled_matrix_with_entries_beyond_8_bit_digits(letters):
     word = BraidWord(4, letters)
     expected = reference_push(word, 3, uncached_cabled_rule(3), state_index, index_state)
-    assert max(abs(c) for _i, _j, v in expected.entries_sorted() for c in v.coeffs) >= 2**7
+    assert max(abs(c) for _i, _j, v in entries_sorted(expected) for c in v.coeffs) >= 2**7
     assert rho_cabled_matrix(word, 3) == expected
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("n, i", [(n, i) for n in (2, 3, 4) for i in range(1, n)])
+def test_generator_tables_match_a_state_by_state_build(n, i, cap):
+    # The push lays sigma_i's table out from one period of (a, b) pairs: each
+    # pair holds for a run of (cap+1)^(i-1) states, so i = 1 has runs of one
+    # state, and i = n - 1 has one period over the whole state space.
+    assert generator_matrix(i, n, cap) == generator_by_states(
+        i, n, cap, multiball.apply_generator
+    )
+    fall = lambda a, b: cabled.apply_generator_cabled(a, b, cap)
+    word = BraidWord(n, (i,))
+    assert rho_cabled_matrix(word, cap) == generator_by_states(i, n, cap, fall)
 
 
 def scaled_sum(n, terms, N, matrix_of=rho_matrix):
@@ -337,9 +357,12 @@ def test_each_distinct_letter_is_tabulated_once_per_element(monkeypatch):
 
 @pytest.mark.parametrize("n, N", [(1, 5000), (2, 3)])
 def test_a_push_without_letters_calls_no_rule(monkeypatch, n, N):
+    # On one strand there is no letter, so no generator table, in either model.
     calls = recorded_calls(monkeypatch, multiball, "apply_generator")
+    cabled_calls = recorded_calls(monkeypatch, cabled, "apply_generator_cabled")
     assert rho_matrix(BraidWord(n), N) == Matrix.identity((N + 1) ** n)
-    assert calls == []
+    assert rho_cabled_matrix(BraidWord(n), N) == Matrix.identity((N + 1) ** n)
+    assert calls == cabled_calls == []
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])

@@ -2,6 +2,7 @@
 polynomials and rationals, and the q-combinatorics and falling-probability
 formula of ``cabled`` with the oracles they are checked against."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,20 @@ class TestJson:
     @settings(max_examples=40)
     def test_poly_roundtrip_property(self, p):
         assert QPoly(tuple(p.to_json()["coeffs"])) == p
+
+    @given(
+        st.lists(
+            st.integers(-3, 3)
+            | st.integers()
+            | st.integers(2**64, 2**200).flatmap(lambda c: st.sampled_from([c, -c])),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100)
+    def test_json_text_is_the_dumps_of_to_json(self, coeffs):
+        # Negatives, zeros inside the tuple, and coefficients of 64 bits and more.
+        p = QPoly(tuple(coeffs))
+        assert p.json_text() == json.dumps(p.to_json())
 
     @pytest.mark.parametrize("coeffs", [[1.7, "2"], [1, 2.0], ["3"], [True], [1, None]])
     def test_from_json_rejects_non_int_coefficients(self, coeffs):
