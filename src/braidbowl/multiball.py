@@ -123,13 +123,18 @@ def push_columns(
     coefficient 1 is its own sum.
 
     A generator column's weights have total coefficient L1 norm at most
-    ``growth``, so a column of M(s) has norm at most growth^len(s).  By the
-    triangle inequality no coefficient of an entry of M(s), for s a suffix
-    of w_t, nor of any partial or total sum, exceeds
+    ``growth`` (at least 1), so a column of M(s) has norm at most
+    growth^len(s).  By the triangle inequality no coefficient of an entry of
+    M(s), for s a suffix of w_t, nor of any partial or total sum, exceeds
     sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum of |coefficient|), which
-    sets the digit width.  Each branch weight is packed once, and each
-    distinct entry is decoded once into a shared QPoly; the returned columns
-    are distinct dicts.
+    sets the digit width B.  Every column, missing ones included, must sum
+    to epsilon = sum_t c_t (1 for a word), else ``ValueError`` names it.
+    The check is exact on the packed ints: ``pack`` is additive, and the
+    coefficients of a column's sum (at most its L1 norm) and of epsilon (at
+    most sum_t |c_t|_1) lie below 2^(B-1), where ``pack`` is injective; a
+    faulty fall keeps this, as ``growth`` is read from its own weights.
+    Branch weights are packed once, and each distinct entry is decoded once
+    into a shared QPoly; the returned columns are distinct dicts.
     """
     dim = radix**n
     letters = {i for word, _c in terms for i in word.letters}
@@ -141,7 +146,7 @@ def push_columns(
         if bad is not None:
             raise ValueError(f"fall({a}, {b}) gives c = {bad}, outside 0..{top}")
     l1 = lambda p: sum(map(abs, p.coeffs))
-    growth = max((sum(l1(w) for _c, w in cs) for cs in falls.values()), default=1)
+    growth = max([1, *(sum(l1(w) for _c, w in cs) for cs in falls.values())])
     width = digit_width(sum(l1(c) * growth ** len(word) for word, c in terms))
     # moves[r]: (digit move, packed weight) per branch of the pair (a, b) that
     # run r of a period meets, r = a + radix b.  Digits i and i+1 move by
@@ -181,11 +186,15 @@ def push_columns(
         elif parts:
             mats, weights = (dict(enumerate(side)) for side in zip(*parts))
             total = {j: apply({k: m[j] for k, m in mats.items()}, weights) for j in range(dim)}
+    epsilon = poly_sum(c for _word, c in terms)
+    one = pack(epsilon, width)
+    for j in range(dim):
+        got = sum(total.get(j, {}).values())
+        if got != one:
+            raise ValueError(f"column {j} sums to {unpack(got, width)}, expected {epsilon}")
     decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, total.values()))}
     return TransitionMatrix(
-        dim,
-        {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()},
-        poly_sum(c for _word, c in terms),
+        dim, {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()}
     )
 
 
@@ -199,7 +208,7 @@ def generator_matrix(i: int, n: int, N: int) -> TransitionMatrix:
     return rho_matrix(BraidWord(n, (i,)), N)
 
 
-def rho_element(x: HeckeElement, N: int) -> Matrix:
+def rho_element(x: HeckeElement, N: int) -> TransitionMatrix:
     """Linear extension: the matrix of a formal combination of words."""
     _validate_sizes(x.n, N)
     return push_columns(x.terms, x.n, N + 1, apply_generator)
@@ -363,8 +372,8 @@ def check_stochastic(n: int, N: int) -> CheckReport:
     """Seeded random words: every entry of a column conserves the count
     multiset of its state, and every entry has degree at most the word length.
 
-    Column sums of 1 need no check here: ``rho_matrix`` pushes (word, ONE), so
-    ``push_columns`` passes the total 1 to ``TransitionMatrix``, which checks it.
+    Column sums of 1 need no check here: ``rho_matrix`` pushes (word, ONE), and
+    ``push_columns`` checks that every column sums to 1 before it returns.
     """
     import random
 

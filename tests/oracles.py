@@ -1,8 +1,8 @@
 """Oracles the tests check the package against: inversion counts and the
 permutation of a braid word, each by direct enumeration, the
 q-combinatorics of the cabled closed form as first written, with q-factorials
-and powers of 1 - q, a generator matrix built state by state, and the entries
-of a matrix in output order.
+and powers of 1 - q, a generator matrix built state by state, the entries
+of a matrix in output order, and the column-sum check on decoded polynomials.
 
 ``permutation_of`` returns w with w(i) = final position of the lane that
 enters at position i, as a 1-based tuple of images; this is the convention of
@@ -125,3 +125,13 @@ def entries_sorted(m):
         col = m.cols[j]
         for i in sorted(col):
             yield i, j, col[i]
+
+
+def column_sum_failure(m, total):
+    """The first column of m, absent ones included, whose decoded entries do
+    not sum to ``total``, in the push's error text; None if there is none."""
+    for j in range(m.dim):
+        got = poly_sum(m.cols.get(j, {}).values())
+        if got != total:
+            return f"column {j} sums to {got}, expected {total}"
+    return None

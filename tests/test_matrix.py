@@ -1,6 +1,7 @@
 """The sparse apply kernel and ``Matrix @``, ``+`` and ``-``, checked against
 dense triple-loop and entrywise oracles over both scalar rings, the zero drop
-of the constructor, and the column-sum check of ``TransitionMatrix``."""
+of the constructor, and the column-sum check that ``multiball.push_columns``
+makes before it returns a ``TransitionMatrix``."""
 
 import operator
 from fractions import Fraction
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidbowl import multiball
+from braidbowl.braid import BraidWord
 from braidbowl.matrix import Matrix, TransitionMatrix, apply
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly
 
@@ -115,16 +118,27 @@ def test_constructor_copies_only_columns_holding_a_zero():
     assert dirty == {0: QPoly(), 1: Q}
 
 
-def test_transition_matrix_accepts_columns_summing_to_one():
-    m = TransitionMatrix(2, {0: {0: Q, 1: ONE_MINUS_Q}, 1: {1: ONE}})
-    assert m.cols == {0: {0: Q, 1: ONE_MINUS_Q}, 1: {1: ONE}}
+def sigma_1_with_branches(monkeypatch, branches):
+    """rho(sigma_1) on two strands at N = 1, where the fall at counts (1, 0),
+    the column of state (1,0), index 1, gives ``branches``."""
+    original = multiball.apply_generator
+    fall = lambda a, b: branches if (a, b) == (1, 0) else original(a, b)
+    monkeypatch.setattr(multiball, "apply_generator", fall)
+    return multiball.rho_matrix(BraidWord(2, (1,)), 1)
 
 
-def test_transition_matrix_rejects_a_column_summing_to_q():
+def test_transition_matrix_accepts_columns_summing_to_one(monkeypatch):
+    m = sigma_1_with_branches(monkeypatch, ((0, Q), (1, ONE_MINUS_Q)))
+    assert isinstance(m, TransitionMatrix)
+    assert m.cols == {0: {0: ONE}, 1: {2: Q, 1: ONE_MINUS_Q}, 2: {1: ONE}, 3: {3: ONE}}
+
+
+def test_transition_matrix_rejects_a_column_summing_to_q(monkeypatch):
+    # The push checks the column sums, on its packed ints, before it decodes.
     with pytest.raises(ValueError, match=r"^column 1 sums to q, expected 1$"):
-        TransitionMatrix(2, {0: {0: ONE}, 1: {0: Q}})
+        sigma_1_with_branches(monkeypatch, ((0, Q),))
 
 
-def test_transition_matrix_rejects_a_missing_column():
+def test_transition_matrix_rejects_a_missing_column(monkeypatch):
     with pytest.raises(ValueError, match=r"^column 1 sums to 0, expected 1$"):
-        TransitionMatrix(2, {0: {0: Q, 1: ONE_MINUS_Q}})
+        sigma_1_with_branches(monkeypatch, ())

@@ -9,10 +9,12 @@ are also built state by state from those same fall distributions
 (``oracles.generator_by_states``), which checks the layout of the push's
 generator tables alone."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import entries_sorted, generator_by_states
+from oracles import column_sum_failure, entries_sorted, generator_by_states
 
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, HeckeElement, specht_element, specht_half
@@ -21,7 +23,7 @@ from braidbowl.matrix import Matrix
 from braidbowl.multiball import (
     generator_matrix, index_state, rho_element, rho_matrix, state_index,
 )
-from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly, digit_width
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, digit_width, poly_sum
 
 
 def reference_push(word, cap, rule, encode, decode):
@@ -289,14 +291,16 @@ def test_rho_element_of_x_minus_x_is_zero():
     assert rho_element(x_minus_x, 2) == Matrix(27)
 
 
+LARGE_WORD = BraidWord(3, (1, 2, 1))
+LARGE_TERMS = [(LARGE_WORD, QPoly((2**70, -3))), (BraidWord(3, (2,)), Q), (LARGE_WORD, ONE)]
+
+
 def test_a_large_coefficient_alone_widens_the_digits():
     # Generator columns have L1 norm 3, so the words alone need 8-bit digits;
     # only the coefficient 2^70 pushes the bound past 64 bits.
-    word, short = BraidWord(3, (1, 2, 1)), BraidWord(3, (2,))
-    terms = [(word, QPoly((2**70, -3))), (short, Q), (word, ONE)]
-    assert digit_width(3 ** len(word)) == 8
-    assert digit_width((2**70 + 3) * 3 ** len(word)) > 64
-    assert rho_element(HeckeElement(3, tuple(terms)), 2) == scaled_sum(3, terms, 2)
+    assert digit_width(3 ** len(LARGE_WORD)) == 8
+    assert digit_width((2**70 + 3) * 3 ** len(LARGE_WORD)) > 64
+    assert rho_element(HeckeElement(3, tuple(LARGE_TERMS)), 2) == scaled_sum(3, LARGE_TERMS, 2)
 
 
 def test_an_element_column_with_the_wrong_sum_is_named(monkeypatch):
@@ -313,6 +317,112 @@ def test_an_element_column_with_the_wrong_sum_is_named(monkeypatch):
     column = state_index((1, 0, 0), 1)
     with pytest.raises(ValueError, match=rf"^column {column} sums to 7, expected 5$"):
         rho_element(x, 1)
+
+
+def test_a_cabled_column_with_the_wrong_sum_is_named(monkeypatch):
+    original = cabled.apply_generator_cabled
+
+    def skewed(a, b, K):
+        # At K = 2 the crossing at counts (1, 0) has the branches c = 0 and 1;
+        # both get weight 1, so the column of (1,0,0) under sigma_1 sums to 2,
+        # and sigma_2 then sends (1,0,0) to itself.
+        branches = original(a, b, K)
+        return [(c, ONE) for c, _w in branches] if (a, b) == (1, 0) else branches
+
+    monkeypatch.setattr(cabled, "apply_generator_cabled", skewed)
+    column = state_index((1, 0, 0), 2)
+    with pytest.raises(ValueError, match=rf"^column {column} sums to 2, expected 1$"):
+        rho_cabled_matrix(BraidWord(3, (2, 1)), 2)
+
+
+def test_a_fall_without_branches_fails_the_column_sum_check():
+    # Every column of sigma_1 is lost, so every column sums to 0.  Were growth
+    # read as 0, not 1, the digits would be 8 bits wide, and the int sum 0
+    # would match q - 256, which packs to 0 at that width.
+    terms = [(BraidWord(2, (1,)), QPoly((-256, 1)))]
+    with pytest.raises(ValueError, match=r"^column 0 sums to 0, expected -256 \+ q$"):
+        multiball.push_columns(terms, 2, 2, lambda a, b: ())
+
+
+@pytest.mark.parametrize(
+    "terms, N, width",
+    [
+        ([(BraidWord(3, (1, 2, 1)), ONE)], 2, 8),
+        ([(BraidWord(2, (1,) * 12), ONE)], 1, 32),
+        (LARGE_TERMS, 2, 80),
+    ],
+)
+def test_a_packed_entry_off_by_one_fails_the_column_sum_check(monkeypatch, terms, N, width):
+    # Mutant: the push's last ``apply``, which builds a column of the result,
+    # adds 1 to the packed int of one entry, so that column sums to epsilon + 1.
+    # The error text decodes that sum with a cast at 8 and 32 bits and with
+    # from_bytes above 64.
+    n = terms[0][0].n
+    assert digit_width(sum(sum(map(abs, c.coeffs)) * 3 ** len(w) for w, c in terms)) == width
+    epsilon = poly_sum(c for _w, c in terms)
+    push = lambda: multiball.push_columns(terms, n, N + 1, multiball.apply_generator)
+    original, outputs, last = multiball.apply, [], None
+
+    def off_by_one(cols, vec):
+        out = original(cols, vec)
+        outputs.append(out)
+        if len(outputs) == last:
+            out[next(iter(out))] += 1
+        return out
+
+    monkeypatch.setattr(multiball, "apply", off_by_one)
+    push()
+    last = len(outputs)
+    outputs.clear()
+    wrong, right = (re.escape(str(p)) for p in (epsilon + ONE, epsilon))
+    with pytest.raises(ValueError, match=rf"^column \d+ sums to {wrong}, expected {right}$"):
+        push()
+    assert len(outputs) == last
+
+
+def test_the_decoded_column_sum_oracle_names_a_wrong_or_missing_column():
+    assert column_sum_failure(Matrix(2, {0: {0: Q, 1: ONE_MINUS_Q}, 1: {1: ONE}}), ONE) is None
+    wrong = Matrix(2, {0: {0: ONE}, 1: {0: Q}})
+    assert column_sum_failure(wrong, ONE) == "column 1 sums to q, expected 1"
+    missing = Matrix(2, {0: {0: Q, 1: ONE_MINUS_Q}})
+    assert column_sum_failure(missing, ONE) == "column 1 sums to 0, expected 1"
+
+
+wide_coefficients = st.builds(
+    lambda low, big, sign: QPoly((*low, sign * big)),
+    st.lists(st.integers(-5, 5), max_size=2),
+    st.integers(2**64, 2**80),
+    st.sampled_from([1, -1]),
+)
+
+
+@st.composite
+def summing_elements(draw):
+    """(n, terms, epsilon) of three shapes: a lone word, so epsilon = 1; a
+    combination with negative coefficients and one over 64 bits; and that
+    combination minus itself, so epsilon = 0."""
+    n, terms = draw(suffix_elements(max_n=3, max_len=4))
+    terms.append((draw(st.sampled_from(terms))[0], draw(wide_coefficients)))
+    shape = draw(st.sampled_from(["word", "combination", "cancelled"]))
+    if shape == "word":
+        return n, [(terms[0][0], ONE)], ONE
+    if shape == "cancelled":
+        return n, terms + [(w, -c) for w, c in terms], ZERO
+    return n, terms, poly_sum(c for _w, c in terms)
+
+
+@pytest.mark.parametrize("model", ["single-lane", "cabled"])
+@given(summing_elements(), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_pushed_columns_pass_the_decoded_column_sum_oracle(model, element, cap):
+    n, terms, epsilon = element
+    fall = multiball.apply_generator
+    if model == "cabled":
+        fall = lambda a, b: cabled.apply_generator_cabled(a, b, cap)
+    m = multiball.push_columns(terms, n, cap + 1, fall)
+    assert epsilon == poly_sum(c for _w, c in terms)
+    assert column_sum_failure(m, epsilon) is None
+    assert column_sum_failure(m, epsilon + Q) == f"column 0 sums to {epsilon}, expected {epsilon + Q}"
 
 
 @pytest.mark.parametrize("a, b, c", [(1, 0, 2), (0, 2, 1), (2, 0, -1)])
