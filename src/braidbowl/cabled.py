@@ -25,8 +25,8 @@ from functools import lru_cache
 from .braid import BraidWord
 from .matrix import TransitionMatrix
 from .multiball import (
-    braid_pairs, far_pairs, fmt_state, index_state, push_columns, record_word_pairs,
-    rho_matrix, state_index,
+    braid_pairs, far_pairs, fmt_state, index_state, matrix_report, push_columns, rho_matrix,
+    state_index, word_pairs,
 )
 from .qpoly import ONE, ZERO, QPoly, poly_sum
 from .report import CheckReport
@@ -206,6 +206,5 @@ def check_oracle_placement_invariance(K: int) -> CheckReport:
 
 def check_cabled_braid_relation(n: int, K: int) -> CheckReport:
     """Braid relation and far commutativity for the cabled matrices."""
-    report = CheckReport(name=f"cabled-braid-relation n={n} K={K}")
-    pairs = braid_pairs(n) + far_pairs(n)
-    return record_word_pairs(report, pairs, lambda w: rho_cabled_matrix(w, K), n, K)
+    comparisons = word_pairs(braid_pairs(n) + far_pairs(n), lambda w: rho_cabled_matrix(w, K))
+    return matrix_report(f"cabled-braid-relation n={n} K={K}", comparisons, n, K)

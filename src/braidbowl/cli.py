@@ -12,8 +12,9 @@ Exit codes: 0 pass, 1 check failure, 2 usage error.  Output is byte
 deterministic for fixed inputs: entries are sorted by (column, row) and all
 polynomials are canonical.  Both formats walk the matrix one sorted column at
 a time and format each distinct entry once, where the walk first meets it.
-JSON output writes a polynomial's text directly (``QPoly.json_text``) and
-joins the entries as text, the bytes of ``json.dumps`` of the whole matrix.
+JSON output writes each value's text directly (``QPoly.json_text``, or a
+fraction's ``{"num", "den"}`` object) and joins the entries as text, the
+bytes of ``json.dumps`` of the whole matrix or fall distribution.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ def fraction_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _value_json(v, eval_q: Fraction | None):
-    if eval_q is None:
-        return v.to_json()
-    return fraction_to_json(v)
+def _json_text(eval_q: Fraction | None) -> Callable[[object], str]:
+    """The JSON text of one entry: a polynomial, or its value at ``eval_q``."""
+    return QPoly.json_text if eval_q is None else (lambda v: json.dumps(fraction_to_json(v)))
 
 
 def _open_out(out_path: str | None):
@@ -113,9 +113,8 @@ def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
         if eval_q is not None:
             m = m.eval_at(eval_q)
         if args.format == "json":
-            fmt = QPoly.json_text if eval_q is None else (lambda v: json.dumps(fraction_to_json(v)))
             entries = []
-            for j, rows, texts in _column_texts(m, fmt):
+            for j, rows, texts in _column_texts(m, _json_text(eval_q)):
                 mid = f", {j}, "
                 entries += [f"[{i}{mid}{text}]" for i, text in zip(rows, texts)]
             meta = {"n": args.n, cap_name: cap, "dim": m.dim, "entries": []}
@@ -152,13 +151,9 @@ def cmd_fall(args) -> int:
     if eval_q is not None:
         dist = {c: p.eval_at(eval_q) for c, p in dist.items()}
     if args.format == "json":
-        payload = {
-            "K": K,
-            "a": a,
-            "b": b,
-            "dist": {str(c): _value_json(p, eval_q) for c, p in dist.items()},
-        }
-        text = json.dumps(payload)
+        fmt = _json_text(eval_q)
+        head, tail = json.dumps({"K": K, "a": a, "b": b, "dist": {}}).rsplit("{}", 1)
+        text = head + "{" + ", ".join(f'"{c}": {fmt(p)}' for c, p in dist.items()) + "}" + tail
     else:
         text = "\n".join([f"K={K} a={a} b={b}", *(f"  c={c}: {p}" for c, p in dist.items())])
     with _open_out(args.out) as out:

@@ -28,13 +28,17 @@ is reached, so columns sum to sum_t c_t.
 The check_* functions verify, in exact arithmetic, the braid relation, far
 commutativity, the quadratic relation (q + sigma)(1 - sigma) = 0, the kernel
 of the alternating window elements together with their factorization, and
-the inverse formula sigma^{-1} = q^{-1}(sigma + q - 1) at rational q.
+the inverse formula sigma^{-1} = q^{-1}(sigma + q - 1) at rational q.  Each
+of these matrix checks yields its (label, got, expected) comparisons in
+order, and ``matrix_report`` records them: a failure names the first entry
+where got and expected differ.  ``check_stochastic`` checks columns, not
+matrices, and records its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .braid import BraidWord, HeckeElement, specht_element, specht_half
 from .matrix import Matrix, TransitionMatrix, apply
@@ -204,10 +208,6 @@ def rho_matrix(word: BraidWord, N: int) -> TransitionMatrix:
     return push_columns(((word, ONE),), word.n, N + 1, apply_generator)
 
 
-def generator_matrix(i: int, n: int, N: int) -> TransitionMatrix:
-    return rho_matrix(BraidWord(n, (i,)), N)
-
-
 def rho_element(x: HeckeElement, N: int) -> TransitionMatrix:
     """Linear extension: the matrix of a formal combination of words."""
     _validate_sizes(x.n, N)
@@ -218,44 +218,38 @@ def fmt_state(u: BallState) -> str:
     return "[" + ",".join(str(c) for c in u) + "]"
 
 
-def _record_matrix_equal(
-    report: CheckReport,
-    label: str,
-    got: Matrix,
-    expected: Matrix,
-    n: int,
-    N: int,
-) -> None:
-    """Record got == expected; a failure names the first differing entry."""
-
-    def describe():
-        for j in sorted(got.cols | expected.cols):
-            gcol, ecol = got.cols.get(j, {}), expected.cols.get(j, {})
-            for i in sorted(gcol | ecol):
-                gv, ev = gcol.get(i, ZERO), ecol.get(i, ZERO)
-                if gv != ev:
-                    return (
-                        f"{label}: u={fmt_state(index_state(j, n, N))} "
-                        f"v={fmt_state(index_state(i, n, N))} expected {ev} actual {gv}"
-                    )
-
-    report.record(got == expected, describe)
+# A matrix check's comparison: (label, got, expected).
+Comparison = tuple[str, Matrix, Matrix]
 
 
-def record_word_pairs(
-    report: CheckReport,
-    pairs: Sequence[tuple[BraidWord, BraidWord]],
-    matrix_of: Callable[[BraidWord], Matrix],
-    n: int,
-    cap: int,
-) -> CheckReport:
-    """Record matrix_of(left) == matrix_of(right) for every (left, right) pair,
-    reporting the first differing entry on states with counts in 0..cap."""
-    for left, right in pairs:
-        _record_matrix_equal(
-            report, f"{left} vs {right}", matrix_of(left), matrix_of(right), n, cap
-        )
+def matrix_report(name: str, comparisons: Iterable[Comparison], n: int, cap: int) -> CheckReport:
+    """The report ``name`` of got == expected for each (label, got, expected)
+    in order; a failure names the first differing entry, on states of n
+    counts in 0..cap."""
+    report = CheckReport(name=name)
+    for label, got, expected in comparisons:
+
+        def describe():
+            for j in sorted(got.cols | expected.cols):
+                gcol, ecol = got.cols.get(j, {}), expected.cols.get(j, {})
+                for i in sorted(gcol | ecol):
+                    gv, ev = gcol.get(i, ZERO), ecol.get(i, ZERO)
+                    if gv != ev:
+                        return (
+                            f"{label}: u={fmt_state(index_state(j, n, cap))} "
+                            f"v={fmt_state(index_state(i, n, cap))} expected {ev} actual {gv}"
+                        )
+
+        report.record(got == expected, describe)
     return report
+
+
+def word_pairs(
+    pairs: Iterable[tuple[BraidWord, BraidWord]], matrix_of: Callable[[BraidWord], Matrix]
+) -> Iterator[Comparison]:
+    """The comparison of matrix_of(left) with matrix_of(right) for each pair."""
+    for left, right in pairs:
+        yield f"{left} vs {right}", matrix_of(left), matrix_of(right)
 
 
 def braid_pairs(n: int) -> list[tuple[BraidWord, BraidWord]]:
@@ -279,8 +273,8 @@ def far_pairs(n: int) -> list[tuple[BraidWord, BraidWord]]:
 def check_braid_relation(n: int, N: int) -> CheckReport:
     """rho(sigma_i sigma_{i+1} sigma_i) = rho(sigma_{i+1} sigma_i sigma_{i+1})."""
     _validate_sizes(n, N)
-    report = CheckReport(name=f"braid-relation n={n} N={N}")
-    return record_word_pairs(report, braid_pairs(n), lambda w: rho_matrix(w, N), n, N)
+    comparisons = word_pairs(braid_pairs(n), lambda w: rho_matrix(w, N))
+    return matrix_report(f"braid-relation n={n} N={N}", comparisons, n, N)
 
 
 def check_far_commutativity(n: int, N: int) -> CheckReport:
@@ -288,8 +282,21 @@ def check_far_commutativity(n: int, N: int) -> CheckReport:
     _validate_sizes(n, N)
     if n < 4:
         raise ValueError(f"far commutativity needs n >= 4, got {n}")
-    report = CheckReport(name=f"far-commutativity n={n} N={N}")
-    return record_word_pairs(report, far_pairs(n), lambda w: rho_matrix(w, N), n, N)
+    comparisons = word_pairs(far_pairs(n), lambda w: rho_matrix(w, N))
+    return matrix_report(f"far-commutativity n={n} N={N}", comparisons, n, N)
+
+
+def _each_generator(
+    n: int, N: int, relation: str, compare: Callable[[int, Matrix, Matrix], Comparison]
+) -> Iterator[Comparison]:
+    """compare(i, rho(sigma_i), I) for each generator, i = 1..n-1, once it is
+    checked that ``relation`` has one (n >= 2)."""
+    _validate_sizes(n, N)
+    if n < 2:
+        raise ValueError(f"{relation} needs n >= 2, got {n}")
+    ident = Matrix.identity((N + 1) ** n)
+    for i in range(1, n):
+        yield compare(i, rho_matrix(BraidWord(n, (i,)), N), ident)
 
 
 def check_hecke(n: int, N: int, corrupt: bool = False) -> CheckReport:
@@ -298,21 +305,14 @@ def check_hecke(n: int, N: int, corrupt: bool = False) -> CheckReport:
     ``corrupt`` is a test-only negative control: it perturbs the first
     generator matrix so the check must fail and report the entry.
     """
-    _validate_sizes(n, N)
-    if n < 2:
-        raise ValueError(f"quadratic relation needs n >= 2, got {n}")
-    dim = (N + 1) ** n
-    ident = Matrix.identity(dim)
-    report = CheckReport(name=f"hecke-quadratic n={n} N={N}")
-    for i in range(1, n):
-        m = generator_matrix(i, n, N)
+
+    def compare(i, m, ident):
         if corrupt and i == 1:
-            m = m + Matrix(dim, {0: {0: ONE}})
-        product = (ident.scale(Q) + m) @ (ident - m)
-        _record_matrix_equal(
-            report, f"(q+sigma_{i})(1-sigma_{i})", product, Matrix(dim), n, N
-        )
-    return report
+            m = m + Matrix(m.dim, {0: {0: ONE}})
+        return f"(q+sigma_{i})(1-sigma_{i})", (ident.scale(Q) + m) @ (ident - m), Matrix(m.dim)
+
+    comparisons = _each_generator(n, N, "quadratic relation", compare)
+    return matrix_report(f"hecke-quadratic n={n} N={N}", comparisons, n, N)
 
 
 def check_specht(n: int, N: int, k: int) -> CheckReport:
@@ -326,41 +326,32 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     where x_k is not killed (ROADMAP's window-sum item), it is not vacuous."""
     _validate_sizes(n, N)
     x = specht_element(n, N, k)
-    dim = (N + 1) ** n
-    rho_x = rho_element(x, N)
-    report = CheckReport(name=f"specht-kernel n={n} N={N} k={k}")
-    _record_matrix_equal(report, f"rho(x_{k})", rho_x, Matrix(dim), n, N)
-    ident = Matrix.identity(dim)
-    for i in range(k, k + N + 1):
-        half = rho_element(specht_half(n, N, k, i), N)
-        gen = generator_matrix(i, n, N)
-        factored = half @ (ident - gen)
-        _record_matrix_equal(
-            report, f"rho(x_{k}) = rho(half_{i})(I - sigma_{i})", rho_x, factored, n, N
-        )
-        twisted = rho_x @ gen
-        _record_matrix_equal(
-            report, f"rho(x_{k}) sigma_{i} = -q rho(x_{k})", twisted, rho_x.scale(-Q), n, N
-        )
-    return report
+
+    def comparisons():
+        rho_x = rho_element(x, N)
+        yield f"rho(x_{k})", rho_x, Matrix(rho_x.dim)
+        ident = Matrix.identity(rho_x.dim)
+        for i in range(k, k + N + 1):
+            half = rho_element(specht_half(n, N, k, i), N)
+            gen = rho_matrix(BraidWord(n, (i,)), N)
+            yield f"rho(x_{k}) = rho(half_{i})(I - sigma_{i})", rho_x, half @ (ident - gen)
+            yield f"rho(x_{k}) sigma_{i} = -q rho(x_{k})", rho_x @ gen, rho_x.scale(-Q)
+
+    return matrix_report(f"specht-kernel n={n} N={N} k={k}", comparisons(), n, N)
 
 
 def check_inverse(n: int, N: int, x: Fraction) -> CheckReport:
     """At q = x != 0, rho(sigma_i) * x^{-1}(rho(sigma_i) + (x - 1) I) = I."""
-    _validate_sizes(n, N)
-    if n < 2:
-        raise ValueError(f"inverse check needs n >= 2, got {n}")
     x = Fraction(x)
     if x == 0:
         raise ValueError("q = 0 is not invertible")
-    dim = (N + 1) ** n
-    ident = Matrix.identity(dim).eval_at(x)
-    report = CheckReport(name=f"inverse-formula n={n} N={N} q={x}")
-    for i in range(1, n):
-        m = generator_matrix(i, n, N).eval_at(x)
-        candidate = (m + ident.scale(x - 1)).scale(1 / x)
-        _record_matrix_equal(report, f"sigma_{i} sigma_{i}^-1", m @ candidate, ident, n, N)
-    return report
+
+    def compare(i, m, ident):
+        m, ident = m.eval_at(x), ident.eval_at(x)
+        return f"sigma_{i} sigma_{i}^-1", m @ (m + ident.scale(x - 1)).scale(1 / x), ident
+
+    comparisons = _each_generator(n, N, "inverse check", compare)
+    return matrix_report(f"inverse-formula n={n} N={N} q={x}", comparisons, n, N)
 
 
 STOCHASTIC_WORDS = 100

@@ -123,12 +123,9 @@ class QPoly:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
-
     def json_text(self) -> str:
-        """``json.dumps(self.to_json())`` without the encoder: the JSON text of
-        a list of ints is the list's own text."""
+        """The JSON object ``{"coeffs": [...]}``, written without the encoder:
+        the JSON text of a list of ints is the list's own text."""
         return f'{{"coeffs": {list(self.coeffs)}}}'
 
 

@@ -1,7 +1,8 @@
 """Oracles the tests check the package against: inversion counts and the
 permutation of a braid word, each by direct enumeration, the
 q-combinatorics of the cabled closed form as first written, with q-factorials
-and powers of 1 - q, a generator matrix built state by state, the entries
+and powers of 1 - q, a generator matrix built state by state and one read
+off ``rho_matrix``, the entries
 of a matrix in output order, and the column-sum check on decoded polynomials.
 
 ``permutation_of`` returns w with w(i) = final position of the lane that
@@ -14,7 +15,8 @@ import itertools
 
 from braidbowl.cabled import gauss_binom
 from braidbowl.matrix import Matrix
-from braidbowl.multiball import index_state, state_index
+from braidbowl.braid import BraidWord
+from braidbowl.multiball import index_state, rho_matrix, state_index
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, ZERO, QPoly, poly_sum
 
 
@@ -116,6 +118,11 @@ def generator_by_states(i, n, cap, fall):
             state_index(u[: i - 1] + (b + c, a - c) + u[i + 1 :], cap): w for c, w in fall(a, b)
         }
     return Matrix((cap + 1) ** n, cols)
+
+
+def generator_matrix(i, n, N):
+    """The multi-ball matrix of the one-letter word sigma_i on n strands."""
+    return rho_matrix(BraidWord(n, (i,)), N)
 
 
 def entries_sorted(m):

@@ -2,6 +2,7 @@
 single-lane model on the cabled word onto group counts."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +34,11 @@ from braidbowl.cabled import (
 )
 from braidbowl.cli import MAX_CABLE
 from braidbowl.matrix import Matrix
-from braidbowl.multiball import index_state, record_word_pairs, rho_matrix, state_index
+from braidbowl.multiball import (
+    index_state, matrix_report, rho_matrix, state_index, word_pairs,
+)
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, poly_sum
-from braidbowl.report import MAX_FAILURES, CheckReport
+from braidbowl.report import MAX_FAILURES
 
 
 def all_words(n, max_len):
@@ -348,12 +351,30 @@ class TestFormulaChecks:
         assert report.checks == 3  # two adjacent pairs + far pair (1, 3)
 
     def test_cabled_mismatch_reports_failing_entry(self):
-        report = CheckReport(name="cabled negative control")
         pairs = [(BraidWord(3, (1,)), BraidWord(3, (2,)))]
-        record_word_pairs(report, pairs, lambda w: rho_cabled_matrix(w, 2), 3, 2)
+        comparisons = word_pairs(pairs, lambda w: rho_cabled_matrix(w, 2))
+        report = matrix_report("cabled negative control", comparisons, 3, 2)
         assert not report.passed and report.checks == 1
         assert report.failures[0].startswith("1 vs 2: u=[")
         assert "expected" in report.failures[0]
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_cabled_braid_relation_fails_when_q_moves_between_branches(self, monkeypatch, K):
+        # A seeded fault that keeps the distribution's sum: at (a, b) = (1, 0)
+        # weight q moves from c = 0 to c = 1.  (At K = 1 the relation survives it.)
+        original = cabled.apply_generator_cabled
+
+        def moved(a, b, K):
+            dist = dict(original(a, b, K))
+            if (a, b) == (1, 0):
+                dist[0], dist[1] = dist[0] - Q, dist[1] + Q
+            return dist.items()
+
+        monkeypatch.setattr(cabled, "apply_generator_cabled", moved)
+        report = check_cabled_braid_relation(3, K)
+        assert not report.passed
+        entry = r"1 2 1 vs 2 1 2: u=\[2,0,0\] v=\[2,0,0\] expected .+ actual .+"
+        assert re.fullmatch(entry, report.failures[0])
 
 
 def test_fall_distribution_keys_bounded():

@@ -1,11 +1,12 @@
 """The multi-ball representation: golden columns, relation checks, properties."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import column_sum_failure, entries_sorted
+from oracles import column_sum_failure, entries_sorted, generator_matrix
 
 from braidbowl import multiball
 from braidbowl.braid import BraidWord, HeckeElement, parse_word, specht_element
@@ -19,14 +20,13 @@ from braidbowl.multiball import (
     check_inverse,
     check_specht,
     check_stochastic,
-    generator_matrix,
     index_state,
+    matrix_report,
     rho_element,
     rho_matrix,
     state_index,
 )
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly
-from braidbowl.report import CheckReport
 
 
 def column_states(m, u, n, N):
@@ -194,11 +194,54 @@ HALF = Fraction(1, 2)
     ids=["a-b", "b-a", "at-half", "a-a"],
 )
 def test_matrix_mismatch_names_the_first_differing_entry(got, expected, failures):
-    report = CheckReport(name="t")
-    multiball._record_matrix_equal(report, "L", got, expected, 2, 2)
-    assert report.checks == 1
+    report = matrix_report("t", [("L", got, expected)], 2, 2)
+    assert report.name == "t" and report.checks == 1
     assert report.passed == (not failures)
     assert report.failures == failures
+
+
+def drop_one_ball(a, b):
+    """The single-lane fall with a seeded fault: when a - b >= 2, one ball
+    falls, not a - b.  Columns still sum to 1."""
+    return ((0, ONE),) if a <= b else ((0, Q), (1 if a - b >= 2 else a - b, ONE_MINUS_Q))
+
+
+# A failure line of ``matrix_report``: label, entry, expected and actual value.
+ENTRY_LINE = re.compile(r"(?P<label>.+): u=\[[0-9,]+\] v=\[[0-9,]+\] expected .+ actual .+")
+
+
+@pytest.mark.parametrize(
+    "check, args, failing",
+    [
+        (check_braid_relation, (4, 2), ["1 2 1 vs 2 1 2"]),
+        (check_hecke, (3, 2), ["(q+sigma_1)(1-sigma_1)"]),
+        # The factorization is compared, not only the kernel it implies.
+        (check_specht, (4, 2, 1), ["rho(x_1)", "rho(x_1) = rho(half_2)(I - sigma_2)"]),
+        (check_inverse, (3, 2, Fraction(1, 2)), ["sigma_1 sigma_1^-1"]),
+    ],
+    ids=["braid", "hecke", "specht", "inverse"],
+)
+def test_matrix_check_fails_when_the_fall_drops_one_ball(monkeypatch, check, args, failing):
+    checks = check(*args).checks
+    monkeypatch.setattr(multiball, "apply_generator", drop_one_ball)
+    report = check(*args)
+    assert not report.passed and report.checks == checks
+    labels = [ENTRY_LINE.fullmatch(line)["label"] for line in report.failures]
+    assert labels[0] == failing[0] and set(failing) <= set(labels)
+
+
+def test_far_commutativity_fails_when_one_word_is_tampered(monkeypatch):
+    # No fault of the fall breaks far commutativity: far generators move
+    # disjoint digits.  So the matrix of one word is changed instead.
+    original = multiball.rho_matrix
+
+    def rho_matrix_tampered(word, N):
+        m = original(word, N)
+        return m + Matrix(m.dim, {1: {0: Q}}) if word.letters == (3, 1) else m
+
+    monkeypatch.setattr(multiball, "rho_matrix", rho_matrix_tampered)
+    report = check_far_commutativity(4, 2)
+    assert report.failures == ["1 3 vs 3 1: u=[1,0,0,0] v=[0,0,0,0] expected q actual 0"]
 
 
 words = st.integers(2, 4).flatmap(

@@ -14,15 +14,13 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import column_sum_failure, entries_sorted, generator_by_states
+from oracles import column_sum_failure, entries_sorted, generator_by_states, generator_matrix
 
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, HeckeElement, specht_element, specht_half
 from braidbowl.cabled import falling_probability, rho_cabled_matrix
 from braidbowl.matrix import Matrix
-from braidbowl.multiball import (
-    generator_matrix, index_state, rho_element, rho_matrix, state_index,
-)
+from braidbowl.multiball import index_state, rho_element, rho_matrix, state_index
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, digit_width, poly_sum
 
 

@@ -176,8 +176,8 @@ class TestFallingProbability:
 class TestJson:
     def test_poly_roundtrip(self):
         p = QPoly((1, -2, 0, 3))
-        assert QPoly(tuple(p.to_json()["coeffs"])) == p
-        assert p.to_json() == {"coeffs": [1, -2, 0, 3]}
+        assert QPoly(tuple(json.loads(p.json_text())["coeffs"])) == p
+        assert json.loads(p.json_text()) == {"coeffs": [1, -2, 0, 3]}
 
     def test_fraction_roundtrip(self):
         x = Fraction(-3, 7)
@@ -186,7 +186,7 @@ class TestJson:
     @given(polys)
     @settings(max_examples=40)
     def test_poly_roundtrip_property(self, p):
-        assert QPoly(tuple(p.to_json()["coeffs"])) == p
+        assert QPoly(tuple(json.loads(p.json_text())["coeffs"])) == p
 
     @given(
         st.lists(
@@ -197,10 +197,10 @@ class TestJson:
         )
     )
     @settings(max_examples=100)
-    def test_json_text_is_the_dumps_of_to_json(self, coeffs):
+    def test_json_text_is_the_dumps_of_the_coeffs(self, coeffs):
         # Negatives, zeros inside the tuple, and coefficients of 64 bits and more.
         p = QPoly(tuple(coeffs))
-        assert p.json_text() == json.dumps(p.to_json())
+        assert p.json_text() == json.dumps({"coeffs": list(p.coeffs)})
 
     @pytest.mark.parametrize("coeffs", [[1.7, "2"], [1, 2.0], ["3"], [True], [1, None]])
     def test_from_json_rejects_non_int_coefficients(self, coeffs):
