@@ -179,7 +179,7 @@ def suite_calls(args) -> list[tuple[Callable[..., CheckReport], tuple]]:
                 " (placement enumeration is desk-scale)"
             )
         _check_dim(K + 1, n)
-    if suite in ("braid", "all") and n < 3:
+    if suite in ("braid", "cabled", "all") and n < 3:
         raise ValueError("braid relation checks need --n >= 3")
     if suite in ("specht", "all") and k is not None and not 1 <= k <= n - 2:
         raise ValueError(f"--k must be in 1..{n - 2} at --n {n}")
@@ -200,7 +200,7 @@ def suite_calls(args) -> list[tuple[Callable[..., CheckReport], tuple]]:
         calls += [(multiball.check_specht, (n, Nw, kw))
                   for Nw in range(1, N + 1) for kw in range(1, n - Nw) if k in (None, kw)]
     if suite in ("cabled", "all"):
-        calls += [(cabledmod.check_cabled_braid_relation, (max(n, 3), K)),
+        calls += [(cabledmod.check_cabled_braid_relation, (n, K)),
                   (cabledmod.check_cabled_formula, (K,)),
                   (cabledmod.check_oracle_placement_invariance, (K,))]
     if suite in ("stochastic", "all"):

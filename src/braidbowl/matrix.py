@@ -1,11 +1,13 @@
 """Sparse square matrices over an exact scalar ring (QPoly or Fraction).
 
-Entries are stored column-major: ``cols[j][i]`` is the (i, j) entry, and zero
-entries are never stored, so dict equality is semantic equality.  Scalars only
-need +, * (by each other and by an int), and truthiness, which both QPoly and
-Fraction provide.  ``apply`` is the one sparse accumulation loop: it is the
-body of ``@``, ``+`` and ``-``, and also runs on the packed ints of
-``multiball.push_columns``.
+Entries are stored column-major: ``cols[j][i]`` is the (i, j) entry.  Zero
+entries are never stored, so dict equality is semantic equality: the
+constructor reads no entry, and each operation that can make a zero drops it
+where it is made (``apply`` a cancelled sum, ``scale`` a zero scalar,
+``eval_at`` a root).  Scalars only need +, * (by each other and by an int),
+and truthiness, which both QPoly and Fraction provide.  ``apply`` is the one
+sparse accumulation loop: it is the body of ``@``, ``+`` and ``-``, and also
+runs on the packed ints of ``multiball.push_columns``.
 """
 
 from __future__ import annotations
@@ -50,18 +52,13 @@ class Matrix:
     __slots__ = ("dim", "cols")
 
     def __init__(self, dim: int, cols: dict[int, Column] | None = None):
-        """Zero entries are dropped: a column holding a zero is copied
-        without it, and zero-free columns are stored as given, so callers
-        must not mutate them afterwards.  Z[q] and Q have no zero divisors,
-        so ``apply`` yields no zero from zero-free operands; zeros come only
-        from ``scale(0)`` and from ``eval_at`` at a root."""
+        """No column may hold a zero entry.  The columns are stored as given,
+        so callers must not mutate them afterwards; empty ones are dropped,
+        and no entry is read.  Z[q] and Q have no zero divisors, so ``apply``
+        yields no zero from zero-free operands; ``scale`` and ``eval_at``
+        drop the zeros that a zero scalar or a root makes."""
         self.dim = dim
-        self.cols: dict[int, Column] = {}
-        for j, col in (cols or {}).items():
-            if not all(col.values()):
-                col = {i: v for i, v in col.items() if v}
-            if col:
-                self.cols[j] = col
+        self.cols: dict[int, Column] = {j: col for j, col in (cols or {}).items() if col}
 
     @classmethod
     def identity(cls, dim: int) -> Matrix:
@@ -86,10 +83,10 @@ class Matrix:
         return self._combine(other, -1)
 
     def scale(self, scalar) -> Matrix:
-        return Matrix(
-            self.dim,
-            {j: {i: scalar * v for i, v in col.items()} for j, col in self.cols.items()},
-        )
+        if not scalar:
+            return Matrix(self.dim)
+        scaled = lambda col: {i: scalar * v for i, v in col.items()}
+        return Matrix(self.dim, {j: scaled(col) for j, col in self.cols.items()})
 
     def __matmul__(self, other: Matrix) -> Matrix:
         """Matrix product: column j of A@B is A applied to column j of B."""
@@ -98,15 +95,14 @@ class Matrix:
         return Matrix(self.dim, {j: apply(self.cols, bcol) for j, bcol in other.cols.items()})
 
     def eval_at(self, x: Fraction) -> Matrix:
-        """Evaluate every QPoly entry at q = x, giving a Fraction matrix.
-        Each distinct entry object is evaluated once; equal entries from the
-        push share one object, so they share one value."""
+        """Evaluate every QPoly entry at q = x, giving a Fraction matrix
+        without the entries that vanish there.  Each distinct entry object is
+        evaluated once; equal entries from the push share one object, so they
+        share one value."""
         distinct = {id(v): v for col in self.cols.values() for v in col.values()}
         value = {key: v.eval_at(x) for key, v in distinct.items()}
-        return Matrix(
-            self.dim,
-            {j: {i: value[id(v)] for i, v in col.items()} for j, col in self.cols.items()},
-        )
+        at = lambda col: {i: y for i, v in col.items() if (y := value[id(v)])}
+        return Matrix(self.dim, {j: at(col) for j, col in self.cols.items()})
 
     def __repr__(self) -> str:
         nnz = sum(len(c) for c in self.cols.values())

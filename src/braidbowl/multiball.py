@@ -137,8 +137,10 @@ def push_columns(
     coefficients of a column's sum (at most its L1 norm) and of epsilon (at
     most sum_t |c_t|_1) lie below 2^(B-1), where ``pack`` is injective; a
     faulty fall keeps this, as ``growth`` is read from its own weights.
-    Branch weights are packed once, and each distinct entry is decoded once
-    into a shared QPoly; the returned columns are distinct dicts.
+    Branch weights are packed once, and branches of weight 0 are skipped, so
+    no packed entry is 0: ``apply`` drops cancelled sums, and the ints have
+    no zero divisors.  Each distinct entry is decoded once into a shared
+    QPoly; the returned columns are distinct dicts.
     """
     dim = radix**n
     letters = {i for word, _c in terms for i in word.letters}
@@ -155,7 +157,9 @@ def push_columns(
     # moves[r]: (digit move, packed weight) per branch of the pair (a, b) that
     # run r of a period meets, r = a + radix b.  Digits i and i+1 move by
     # (d, -d), so the index moves by d (lo - hi).
-    moves = [[(b + c - a, pack(w, width)) for c, w in falls[a, b]] for b in counts for a in counts]
+    moves = [
+        [(b + c - a, pack(w, width)) for c, w in falls[a, b] if w] for b in counts for a in counts
+    ]
     # gens[i][j]: the state t where sigma_i sends j with weight 1, else G_i[j].
     gens: dict[int, list[int | dict[int, int]]] = {}
     for i in letters:

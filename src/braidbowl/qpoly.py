@@ -87,8 +87,6 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
         out = [0] * (len(a) + len(b) - 1)
         # skip b's zeros: the cabled factors q^e and 1 - q^j are sparse
         b_terms = [(j, y) for j, y in enumerate(b) if y]

@@ -149,6 +149,14 @@ class TestFallCommand:
         assert list(dist) == ["0", "1", "2"]
         assert dist["1"] == {"coeffs": [0, 1, 1, -1, -1]}
 
+    def test_eval_q_at_a_root_keeps_the_value_that_vanishes(self, capsys):
+        # Unlike the rho and cabled entries, the distribution keeps every c.
+        _, out, _ = run(capsys, "fall", "--cable", "1", "--a", "1", "--b", "0", "--eval-q=1")
+        assert out == (
+            '{"K": 1, "a": 1, "b": 0, "dist": {"0": {"num": 1, "den": 1}, '
+            '"1": {"num": 0, "den": 1}}}\n'
+        )
+
     def test_preconditions(self, capsys):
         code, _, err = run(capsys, "fall", "--cable", "2", "--a", "3", "--b", "0")
         assert code == 2 and "error" in err
@@ -423,6 +431,22 @@ def test_specht_window_that_does_not_fit_is_rejected_before_any_check_runs(capsy
     assert str(exc.value) == message
     code, out, err = run(capsys, "check", "specht", *size)
     assert code == 2 and err == f"error: {message}\n" and out == ""
+
+
+@pytest.mark.parametrize("suite", ["braid", "cabled", "all"])
+def test_braid_relation_suites_reject_two_strands_before_any_check_runs(capsys, monkeypatch, suite):
+    def no_push(*_args):
+        raise AssertionError("a check ran before the strand count was checked")
+
+    monkeypatch.setattr(multiball, "push_columns", no_push)
+    monkeypatch.setattr(cabled, "push_columns", no_push)
+    code, out, err = run(capsys, "check", suite, "--n", "2", "--max-balls", "1", "--cable", "2")
+    assert code == 2 and err == "error: braid relation checks need --n >= 3\n" and out == ""
+
+
+def test_check_cabled_runs_at_the_strand_count_given(capsys):
+    code, out, _ = run(capsys, "check", "cabled", "--n", "4", "--cable", "1")
+    assert code == 0 and "PASS cabled-braid-relation n=4 K=1" in out
 
 
 @pytest.mark.parametrize("suite", SUITES)

@@ -1,7 +1,9 @@
 """The sparse apply kernel and ``Matrix @``, ``+`` and ``-``, checked against
-dense triple-loop and entrywise oracles over both scalar rings, the zero drop
-of the constructor, and the column-sum check that ``multiball.push_columns``
-makes before it returns a ``TransitionMatrix``."""
+dense triple-loop and entrywise oracles over both scalar rings; the contract
+that no matrix stores a zero entry, which the constructor does not enforce
+(it drops only empty columns) and every operation that can make a zero keeps;
+and the column-sum check that ``multiball.push_columns`` makes before it
+returns a ``TransitionMatrix``."""
 
 import operator
 from fractions import Fraction
@@ -11,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidbowl import multiball
-from braidbowl.braid import BraidWord
+from braidbowl.braid import BraidWord, specht_element
 from braidbowl.matrix import Matrix, TransitionMatrix, apply
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly
 
 # Small pools with additive inverses, so sums cancel to zero often.  ONE is the
 # shared constant that ``Matrix.identity`` stores, multiplied like any other
-# entry; the zeros are dropped on entry.
-QPOLY_VALUES = [ONE, -ONE, Q, -Q, ONE_MINUS_Q, QPoly()]
+# entry; 1 - q and 1 + q vanish at q = 1 and q = -1.  The zeros are drawn and
+# then dropped before the constructor, as every producer drops them.
+QPOLY_VALUES = [ONE, -ONE, Q, -Q, ONE_MINUS_Q, ONE + Q, QPoly()]
 FRACTION_VALUES = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(0)]
 
 
@@ -28,8 +31,14 @@ def matrix_pairs(draw, values):
     index = st.integers(0, dim - 1)
     column = st.dictionaries(index, st.sampled_from(values), max_size=dim)
     # Columns may be absent, empty, or hold only zeros.
-    matrix = lambda: Matrix(dim, draw(st.dictionaries(index, column, max_size=dim)))
+    nonzero = lambda cols: {j: {i: v for i, v in col.items() if v} for j, col in cols.items()}
+    matrix = lambda: Matrix(dim, nonzero(draw(st.dictionaries(index, column, max_size=dim))))
     return matrix(), matrix()
+
+
+def stores_no_zero(m: Matrix) -> bool:
+    """No stored column is empty or holds a zero entry."""
+    return all(col and all(col.values()) for col in m.cols.values())
 
 
 def dense_product(a: Matrix, b: Matrix, zero) -> dict:
@@ -110,12 +119,40 @@ def test_eval_at_a_root_drops_that_entry():
     assert m.eval_at(Fraction(1)).cols == {0: {1: Fraction(1)}}
 
 
-def test_constructor_copies_only_columns_holding_a_zero():
-    clean, dirty = {0: ONE, 1: Q}, {0: QPoly(), 1: Q}
-    m = Matrix(2, {0: clean, 1: dirty})
-    assert m.cols[0] is clean
-    assert m.cols[1] == {1: Q}
-    assert dirty == {0: QPoly(), 1: Q}
+def test_constructor_keeps_a_column_by_reference_and_drops_an_empty_one():
+    col = {0: ONE, 1: Q}
+    m = Matrix(2, {0: col, 1: {}})
+    assert m.cols == {0: col} and m.cols[0] is col
+
+
+@given(
+    st.sampled_from([QPOLY_VALUES, FRACTION_VALUES]).flatmap(
+        lambda pool: st.tuples(matrix_pairs(pool), st.sampled_from(pool))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_no_result_stores_a_zero_entry_or_an_empty_column(drawn):
+    (a, b), scalar = drawn
+    zero = type(scalar)()  # QPoly() or Fraction(0)
+    assert a.scale(zero) == Matrix(a.dim)
+    results = [a + b, a - b, a @ b, a.scale(scalar), a.scale(zero)]
+    if isinstance(scalar, QPoly):
+        results += [a.eval_at(Fraction(1)), a.eval_at(Fraction(-1))]
+    assert all(map(stores_no_zero, results))
+
+
+def test_a_window_element_whose_matrix_is_zero_stores_no_column():
+    assert multiball.rho_element(specht_element(4, 1, 1), 1).cols == {}
+
+
+def test_push_skips_a_branch_of_weight_zero(monkeypatch):
+    word = BraidWord(2, (1,))
+    expected = multiball.rho_matrix(word, 2)
+    original = multiball.apply_generator
+    fall = lambda a, b: (*original(a, b), (1, QPoly())) if (a, b) == (2, 0) else original(a, b)
+    monkeypatch.setattr(multiball, "apply_generator", fall)
+    m = multiball.rho_matrix(word, 2)
+    assert m == expected and stores_no_zero(m)
 
 
 def sigma_1_with_branches(monkeypatch, branches):
