@@ -1,5 +1,5 @@
 """Positive braid words, minimal permutation braids, and the alternating
-window elements built from them.
+window elements built from them as products of coset ladders.
 
 Conventions (fixed once, used everywhere):
 
@@ -13,11 +13,15 @@ Conventions (fixed once, used everywhere):
   p+1 are out of order relative to their targets, repeat until sorted.  Its
   length always equals the inversion count of the permutation, so the sign
   of w is (-1)^len(minimal_braid(w)).
+* A window element of m = N+2 positions is a ``HeckeProduct`` of coset
+  ladders, O(m^2) letters, not the m! words of its direct sum, which
+  ``tests/oracles.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .qpoly import ONE, QPoly
@@ -93,15 +97,38 @@ class HeckeElement:
         if any(word.n != self.n for word, _c in self.terms):
             raise ValueError("all words in an element must share n")
 
+    @property
+    def factors(self) -> tuple[HeckeElement, ...]:
+        """The element as a product of one factor, itself."""
+        return (self,)
 
-def _window_permutations(n: int, N: int, k: int):
-    """All permutations of positions k..k+N+1 extended by the identity."""
-    window = list(range(k, k + N + 2))
-    for images in itertools.permutations(window):
-        full = list(range(1, n + 1))
-        for pos, img in zip(window, images):
-            full[pos - 1] = img
-        yield tuple(full)
+
+@dataclass(frozen=True)
+class HeckeProduct:
+    """The product f_1 f_2 ... f_r of elements on n strands, kept as its
+    factors, which the push (``multiball.rho_element``) chains.  ``terms`` is
+    the expansion: the word w_1 w_2 ... w_r with coefficient c_1 c_2 ... c_r
+    for each choice of one term (w_p, c_p) of every factor, in the order of
+    ``itertools.product``."""
+
+    n: int
+    factors: tuple[HeckeElement, ...]
+
+    def __post_init__(self) -> None:
+        if not self.factors:
+            raise ValueError("a product needs at least one factor")
+        if any(f.n != self.n for f in self.factors):
+            raise ValueError("all factors of a product must share n")
+
+    @property
+    def terms(self) -> tuple[tuple[BraidWord, QPoly], ...]:
+        return tuple(
+            (
+                BraidWord(self.n, tuple(i for word, _c in choice for i in word.letters)),
+                math.prod((c for _w, c in choice), start=ONE),
+            )
+            for choice in itertools.product(*(f.terms for f in self.factors))
+        )
 
 
 def validate_window(n: int, N: int, k: int) -> None:
@@ -122,16 +149,44 @@ def _signed_sum(n: int, perms) -> HeckeElement:
     return HeckeElement(n, tuple((b, signs[len(b) % 2]) for b in map(minimal_braid, perms)))
 
 
-def specht_element(n: int, N: int, k: int) -> HeckeElement:
-    """Alternating sum of the (N+2)! minimal permutation braids of the window
-    {k, ..., k+N+1}, each with coefficient sign(w) = (-1)^length."""
+def _ladder(n: int, start: int, stop: int) -> HeckeElement:
+    """The signed sum over the moves of the lane at position ``start`` to each
+    position from ``start`` to ``stop``, the lanes between moving one place
+    back.  From b + 2 down to a, its words are (), (b+1), (b+1, b), ...,
+    (b+1, b, ..., a): it grows the parabolic subgroup <s_a..s_b> by s_(b+1).
+    From a - 1 up to b + 1, its words are (), (a-1), ..., (a-1, a, ..., b):
+    it grows <s_a..s_b> by s_(a-1).  The moves are the minimal coset
+    representatives (Humphreys, *Reflection Groups and Coxeter Groups*,
+    ch. 1), so the product of the ladders of a chain of subgroups is the
+    signed sum over the last one, each element once, as a reduced word."""
+
+    def moved(end: int) -> Permutation:
+        exits = list(range(1, n + 1))  # exits[p - 1]: the lane that exits at p
+        exits.insert(end - 1, exits.pop(start - 1))
+        return tuple(exits.index(lane) + 1 for lane in range(1, n + 1))
+
+    step = 1 if stop >= start else -1
+    return _signed_sum(n, map(moved, range(start, stop + step, step)))
+
+
+def specht_element(n: int, N: int, k: int) -> HeckeProduct:
+    """The alternating sum x_k of the (N+2)! minimal permutation braids of the
+    window {k, ..., k+N+1}, each with coefficient sign(w) = (-1)^length, as
+    the product of ladders c_k c_(k+1) ... c_(k+N), where c_t grows
+    <s_k..s_(t-1)> by s_t: c_t = sum_i (-1)^i T(t, t-1, ..., t-i+1) for
+    i = 0..t-k+1."""
     validate_window(n, N, k)
-    return _signed_sum(n, _window_permutations(n, N, k))
+    return HeckeProduct(n, tuple(_ladder(n, t + 1, k) for t in range(k, k + N + 1)))
 
 
-def specht_half(n: int, N: int, k: int, i: int) -> HeckeElement:
-    """The half of the alternating window sum with w(i) < w(i+1)."""
+def specht_half(n: int, N: int, k: int, i: int) -> HeckeProduct:
+    """The half of the alternating window sum with w(i) < w(i+1), for which
+    x_k = (1 - sigma_i) half_i: the product of the ladders of the chain that
+    grows <s_i> first by s_(i+1), ..., s_(k+N), then by s_(i-1), ..., s_k."""
     validate_window(n, N, k)
     if not k <= i <= k + N:
         raise ValueError(f"position i={i} out of window range {k}..{k + N}")
-    return _signed_sum(n, (w for w in _window_permutations(n, N, k) if w[i - 1] < w[i]))
+    top = k + N + 1
+    up = [_ladder(n, stop, i) for stop in range(i + 2, top + 1)]
+    down = [_ladder(n, start, top) for start in range(i - 1, k - 1, -1)]
+    return HeckeProduct(n, tuple(up + down))

@@ -106,7 +106,7 @@ def rho_cabled_matrix(word: BraidWord, K: int) -> TransitionMatrix:
     """Transition matrix of a word on group-count states, dimension (K+1)^n."""
     validate_cable(K)
     return push_columns(
-        ((word, ONE),), word.n, K + 1, lambda a, b: apply_generator_cabled(a, b, K)
+        [[(word, ONE)]], word.n, K + 1, lambda a, b: apply_generator_cabled(a, b, K)
     )
 
 

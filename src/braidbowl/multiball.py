@@ -23,7 +23,9 @@ per state, and moves the two digits of every state by index arithmetic; a
 column that the crossing moves whole, with weight 1, is a column of M(s)
 taken as it is.  rho is linear: ``rho_element`` of sum_t c_t w_t is one push
 over the distinct suffixes of all the words, adding c_t M(w_t) as each word
-is reached, so columns sum to sum_t c_t.
+is reached, so columns sum to sum_t c_t.  rho is multiplicative: a product
+of such sums is pushed factor by factor and chained, rho(f g) = rho(g) @
+rho(f).
 
 The check_* functions verify, in exact arithmetic, the braid relation, far
 commutativity, the quadratic relation (q + sigma)(1 - sigma) = 0, the kernel
@@ -37,10 +39,11 @@ matrices, and records its own.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .braid import BraidWord, HeckeElement, specht_element, specht_half
+from .braid import BraidWord, HeckeElement, HeckeProduct, specht_element, specht_half
 from .matrix import Matrix, TransitionMatrix, apply
 from .qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, digit_width, pack, poly_sum, unpack
 from .report import CheckReport
@@ -93,10 +96,11 @@ def _validate_sizes(n: int, N: int) -> None:
 
 
 def push_columns(
-    terms: Sequence[tuple[BraidWord, QPoly]], n: int, radix: int, fall: Fall
+    factors: Sequence[Sequence[tuple[BraidWord, QPoly]]], n: int, radix: int, fall: Fall
 ) -> TransitionMatrix:
-    """The matrix of a combination sum_t c_t w_t of positive words on
-    count-tuple states; a word w is the one term (w, ONE).
+    """The matrix of a product f_1 ... f_r of combinations f_p = sum_t c_t w_t
+    of positive words on count-tuple states, each factor given by its terms;
+    a word w is the one factor with the one term (w, ONE).
 
     A state is an n-tuple of counts in 0..radix-1, at index ``state_index``.
     ``fall(a, b)`` is the model: the (c, weight) branches, with distinct c, of
@@ -115,8 +119,8 @@ def push_columns(
     else a list of (offset, packed weight); one period of shifts, repeated
     to dim, lays out the table.
 
-    The matrices are built right to left over the distinct suffixes of the
-    words, in packed ints (``qpoly.pack``): M(()) is the identity and
+    Each factor's matrix is built right to left over the distinct suffixes of
+    its words, in packed ints (``qpoly.pack``): M(()) is the identity and
     M(l s) = M(s) @ G_l, so column j of M(l s) is ``apply(M(s), G_l[j])``.
     Where G_l sends j to one state t with weight 1 (a <= b in the
     single-lane model), that column is column t of M(s) itself, shared, not
@@ -124,18 +128,22 @@ def push_columns(
     are dropped.  Only two layers of suffixes, of lengths L and L + 1, are
     held at once: once layer L is built, the words of length L are added,
     each scaled by its coefficient, into the running sum.  A lone word with
-    coefficient 1 is its own sum.
+    coefficient 1 is its own sum.  The factors are then chained right to
+    left, rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1): column j of P @ F is
+    ``apply(P, F[j])``.  A single factor is its own product.
 
     A generator column's weights have total coefficient L1 norm at most
     ``growth`` (at least 1), so a column of M(s) has norm at most
     growth^len(s).  By the triangle inequality no coefficient of an entry of
     M(s), for s a suffix of w_t, nor of any partial or total sum, exceeds
-    sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum of |coefficient|), which
-    sets the digit width B.  Every column, missing ones included, must sum
-    to epsilon = sum_t c_t (1 for a word), else ``ValueError`` names it.
-    The check is exact on the packed ints: ``pack`` is additive, and the
-    coefficients of a column's sum (at most its L1 norm) and of epsilon (at
-    most sum_t |c_t|_1) lie below 2^(B-1), where ``pack`` is injective; a
+    sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum of |coefficient|), and as
+    |.|_1 is submultiplicative, no coefficient of a partial or total product
+    exceeds the product of these bounds over the factors, which sets the
+    digit width B.  Every column, missing ones included, must sum to
+    epsilon = prod_p sum_t c_t (1 for a word), else ``ValueError`` names it.
+    The check is exact on the packed ints: ``pack`` is additive and
+    multiplicative, and the coefficients of a column's sum (at most its L1
+    norm) and of epsilon lie below 2^(B-1), where ``pack`` is injective; a
     faulty fall keeps this, as ``growth`` is read from its own weights.
     Branch weights are packed once, and branches of weight 0 are skipped, so
     no packed entry is 0: ``apply`` drops cancelled sums, and the ints have
@@ -143,7 +151,7 @@ def push_columns(
     QPoly; the returned columns are distinct dicts.
     """
     dim = radix**n
-    letters = {i for word, _c in terms for i in word.letters}
+    letters = {i for terms in factors for word, _c in terms for i in word.letters}
     counts = range(radix if letters else 0)
     falls = {(a, b): tuple(fall(a, b)) for a in counts for b in counts}
     for (a, b), cs in falls.items():
@@ -153,7 +161,9 @@ def push_columns(
             raise ValueError(f"fall({a}, {b}) gives c = {bad}, outside 0..{top}")
     l1 = lambda p: sum(map(abs, p.coeffs))
     growth = max([1, *(sum(l1(w) for _c, w in cs) for cs in falls.values())])
-    width = digit_width(sum(l1(c) * growth ** len(word) for word, c in terms))
+    width = digit_width(
+        math.prod(sum(l1(c) * growth ** len(word) for word, c in terms) for terms in factors)
+    )
     # moves[r]: (digit move, packed weight) per branch of the pair (a, b) that
     # run r of a period meets, r = a + radix b.  Digits i and i+1 move by
     # (d, -d), so the index moves by d (lo - hi).
@@ -176,25 +186,33 @@ def push_columns(
             for s, sh in zip(range(dim), period)
         ]
     step = lambda m, gen: {j: m[g] if type(g) is int else apply(m, g) for j, g in enumerate(gen)}
-    ends: dict[tuple[int, ...], int] = {}
-    for word, c in terms:
-        ends[word.letters] = ends.get(word.letters, 0) + pack(c, width)
-    ends = {word: x for word, x in ends.items() if x}
-    layer = {(): {j: {j: 1} for j in range(dim)}}
-    total: dict[int, dict[int, int]] = {}
-    for length in range(max(map(len, ends), default=-1) + 1):
-        if length:
-            suffixes = {word[-length:] for word in ends if len(word) >= length}
-            layer = {s: step(layer[s[1:]], gens[s[0]]) for s in suffixes}
-        parts = [(layer[word], x) for word, x in ends.items() if len(word) == length]
-        if total:
-            parts.append((total, 1))
-        if len(parts) == 1 and parts[0][1] == 1:
-            total = parts[0][0]
-        elif parts:
-            mats, weights = (dict(enumerate(side)) for side in zip(*parts))
-            total = {j: apply({k: m[j] for k, m in mats.items()}, weights) for j in range(dim)}
-    epsilon = poly_sum(c for _word, c in terms)
+
+    def factor_matrix(terms: Sequence[tuple[BraidWord, QPoly]]) -> dict[int, dict[int, int]]:
+        ends: dict[tuple[int, ...], int] = {}
+        for word, c in terms:
+            ends[word.letters] = ends.get(word.letters, 0) + pack(c, width)
+        ends = {word: x for word, x in ends.items() if x}
+        layer = {(): {j: {j: 1} for j in range(dim)}}
+        total: dict[int, dict[int, int]] = {}
+        for length in range(max(map(len, ends), default=-1) + 1):
+            if length:
+                suffixes = {word[-length:] for word in ends if len(word) >= length}
+                layer = {s: step(layer[s[1:]], gens[s[0]]) for s in suffixes}
+            parts = [(layer[word], x) for word, x in ends.items() if len(word) == length]
+            if total:
+                parts.append((total, 1))
+            if len(parts) == 1 and parts[0][1] == 1:
+                total = parts[0][0]
+            elif parts:
+                mats, weights = (dict(enumerate(side)) for side in zip(*parts))
+                total = {j: apply({k: m[j] for k, m in mats.items()}, weights) for j in range(dim)}
+        return total
+
+    coefficient_sum = lambda terms: poly_sum(c for _w, c in terms)
+    total, epsilon = factor_matrix(factors[-1]), coefficient_sum(factors[-1])
+    for terms in reversed(factors[:-1]):
+        total = {j: apply(total, col) for j, col in factor_matrix(terms).items()}
+        epsilon = coefficient_sum(terms) * epsilon
     one = pack(epsilon, width)
     for j in range(dim):
         got = sum(total.get(j, {}).values())
@@ -209,13 +227,14 @@ def push_columns(
 def rho_matrix(word: BraidWord, N: int) -> TransitionMatrix:
     """The transition matrix of a word."""
     _validate_sizes(word.n, N)
-    return push_columns(((word, ONE),), word.n, N + 1, apply_generator)
+    return push_columns([[(word, ONE)]], word.n, N + 1, apply_generator)
 
 
-def rho_element(x: HeckeElement, N: int) -> TransitionMatrix:
-    """Linear extension: the matrix of a formal combination of words."""
+def rho_element(x: HeckeElement | HeckeProduct, N: int) -> TransitionMatrix:
+    """Linear extension: the matrix of a formal combination of words, or of
+    a product of such combinations, pushed as the product of its factors."""
     _validate_sizes(x.n, N)
-    return push_columns(x.terms, x.n, N + 1, apply_generator)
+    return push_columns([f.terms for f in x.factors], x.n, N + 1, apply_generator)
 
 
 def fmt_state(u: BallState) -> str:
@@ -322,7 +341,9 @@ def check_hecke(n: int, N: int, corrupt: bool = False) -> CheckReport:
 def check_specht(n: int, N: int, k: int) -> CheckReport:
     """The alternating window element x_k dies under rho, factors through
     (1 - sigma_i) for every window position i, and satisfies
-    rho(x_k) @ rho(sigma_j) = -q rho(x_k) for window generators j.
+    rho(x_k) @ rho(sigma_j) = -q rho(x_k) for window generators j.  x_k and
+    each half_i are products of coset ladders (``braid.specht_element``), so
+    each is one push of a chain of factors.
 
     The eigen-identity follows from the kernel comparison: once rho(x_k) = 0
     passes, each side is zero, so it tells something only when that fails.

@@ -1,5 +1,6 @@
 """Oracles the tests check the package against: inversion counts and the
-permutation of a braid word, each by direct enumeration, the
+permutation of a braid word, each by direct enumeration, the alternating
+window sums as direct sums over all (N+2)! window permutations, the
 q-combinatorics of the cabled closed form as first written, with q-factorials
 and powers of 1 - q, a generator matrix built state by state and one read
 off ``rho_matrix``, the entries
@@ -15,7 +16,7 @@ import itertools
 
 from braidbowl.cabled import gauss_binom
 from braidbowl.matrix import Matrix
-from braidbowl.braid import BraidWord
+from braidbowl.braid import BraidWord, HeckeElement, minimal_braid
 from braidbowl.multiball import index_state, rho_matrix, state_index
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, ZERO, QPoly, poly_sum
 
@@ -52,6 +53,27 @@ def permutation_of(word):
     for pos, lane in enumerate(lane_at, start=1):
         images[lane - 1] = pos
     return tuple(images)
+
+
+def window_permutations(n, N, k):
+    """All permutations of positions k..k+N+1 extended by the identity."""
+    window = list(range(k, k + N + 2))
+    for images in itertools.permutations(window):
+        full = list(range(1, n + 1))
+        for pos, img in zip(window, images):
+            full[pos - 1] = img
+        yield tuple(full)
+
+
+def direct_sum(n, N, k, i=None):
+    """The alternating window sum x_k as the direct sum over its (N+2)!
+    permutations w of (-1)^inversions(w) times the minimal braid of w; with
+    i, the half of it with w(i) < w(i+1)."""
+    return HeckeElement(n, tuple(
+        (minimal_braid(w), (-1) ** inversions_perm(w) * ONE)
+        for w in window_permutations(n, N, k)
+        if i is None or w[i - 1] < w[i]
+    ))
 
 
 def power(p, k):

@@ -10,6 +10,7 @@ from oracles import inversions_perm, permutation_of
 from braidbowl.braid import (
     BraidWord,
     HeckeElement,
+    HeckeProduct,
     minimal_braid,
     parse_word,
     specht_element,
@@ -17,7 +18,7 @@ from braidbowl.braid import (
 )
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import rho_element
-from braidbowl.qpoly import ONE, QPoly
+from braidbowl.qpoly import ONE, Q, QPoly
 
 
 def word(n, *letters):
@@ -109,6 +110,24 @@ class TestHeckeElement:
     def test_mixed_strand_counts_rejected(self):
         with pytest.raises(ValueError):
             HeckeElement(2, ((word(3, 1), ONE),))
+
+
+class TestHeckeProduct:
+    def test_terms_are_the_expansion_in_product_order(self):
+        left = HeckeElement(3, ((word(3), ONE), (word(3, 1), -ONE)))
+        right = HeckeElement(3, ((word(3), Q), (word(3, 2, 1), QPoly((2,)))))
+        assert HeckeProduct(3, (left, right)).terms == (
+            (word(3), Q),
+            (word(3, 2, 1), QPoly((2,))),
+            (word(3, 1), -Q),
+            (word(3, 1, 2, 1), QPoly((-2,))),
+        )
+
+    def test_mixed_strand_counts_and_no_factors_rejected(self):
+        with pytest.raises(ValueError):
+            HeckeProduct(2, (HeckeElement(3),))
+        with pytest.raises(ValueError):
+            HeckeProduct(2, ())
 
 
 class TestSpechtElements:

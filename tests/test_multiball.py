@@ -159,7 +159,7 @@ class TestRelationChecks:
         assert report.failures  # first failing entry is reported
         assert "expected" in report.failures[0]
 
-    @pytest.mark.parametrize("n,N,k", [(3, 1, 1), (4, 1, 2)])
+    @pytest.mark.parametrize("n,N,k", [(3, 1, 1), (4, 1, 2), (5, 3, 1)])
     def test_specht(self, n, N, k):
         assert check_specht(n, N, k).passed
 

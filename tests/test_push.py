@@ -9,6 +9,8 @@ are also built state by state from those same fall distributions
 (``oracles.generator_by_states``), which checks the layout of the push's
 generator tables alone."""
 
+import functools
+import math
 import re
 
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from oracles import column_sum_failure, entries_sorted, generator_by_states, generator_matrix
 
 from braidbowl import cabled, multiball
-from braidbowl.braid import BraidWord, HeckeElement, specht_element, specht_half
+from braidbowl.braid import BraidWord, HeckeElement, HeckeProduct, specht_element, specht_half
 from braidbowl.cabled import falling_probability, rho_cabled_matrix
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import index_state, rho_element, rho_matrix, state_index
@@ -180,9 +182,10 @@ coefficients = st.one_of(
 
 
 @st.composite
-def elements(draw, max_n=4, max_terms=5, max_len=6):
-    """(n, raw terms) with words of length 0..max_len that may repeat."""
-    n = draw(st.integers(1, max_n))
+def elements(draw, max_n=4, max_terms=5, max_len=6, n=None):
+    """(n, raw terms) with words of length 0..max_len that may repeat, on n
+    strands if n is given."""
+    n = draw(st.integers(1, max_n)) if n is None else n
     letters = st.lists(st.integers(1, n - 1), max_size=max_len) if n > 1 else st.just([])
     pool = draw(st.lists(letters.map(lambda ls: BraidWord(n, tuple(ls))), min_size=1, max_size=3))
     terms = draw(st.lists(st.tuples(st.sampled_from(pool), coefficients), max_size=max_terms))
@@ -194,6 +197,16 @@ def elements(draw, max_n=4, max_terms=5, max_len=6):
 def test_rho_element_matches_sum_of_scaled_word_matrices(element, N):
     n, terms = element
     assert rho_element(HeckeElement(n, tuple(terms)), N) == scaled_sum(n, terms, N)
+
+
+@given(st.data(), st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_rho_element_of_a_product_matches_the_sum_over_its_expansion(data, N):
+    n, first = data.draw(elements(max_terms=3, max_len=4))
+    rest = data.draw(st.lists(elements(max_terms=3, max_len=3, n=n), min_size=1, max_size=2))
+    factors = [first, *(terms for _n, terms in rest)]
+    x = HeckeProduct(n, tuple(HeckeElement(n, tuple(terms)) for terms in factors))
+    assert rho_element(x, N) == scaled_sum(n, x.terms, N)
 
 
 nonzero_coefficients = coefficients.filter(bool)
@@ -235,20 +248,22 @@ def test_shared_cabled_suffixes_match_sum_of_scaled_word_matrices(element, K):
     n, terms = element
     fall = lambda a, b: cabled.apply_generator_cabled(a, b, K)
     expected = scaled_sum(n, terms, K, rho_cabled_matrix)
-    assert multiball.push_columns(terms, n, K + 1, fall) == expected
+    assert multiball.push_columns((terms,), n, K + 1, fall) == expected
 
 
 @pytest.fixture(scope="module")
-def window_word_matrices():
-    """rho at N' = 3 of every word of the window element x_1 at (6,2,1), where
-    x_1 is not killed; its halves' words are among them."""
-    return {word: rho_matrix(word, 3) for word, _c in specht_element(6, 2, 1).terms}
+def window_word_matrix():
+    """rho at N' = 3, where x_1 at (6,2,1) is not killed, of a word of x_1
+    or of one of its halves, each word pushed once.  A half's expanded words
+    are not all words of x_1's expansion: both are products of coset
+    ladders, grown along different chains."""
+    return functools.cache(lambda word, _N: rho_matrix(word, 3))
 
 
 @pytest.mark.parametrize("half", [None, 1, 2, 3])
-def test_window_elements_match_sum_of_scaled_word_matrices(window_word_matrices, half):
+def test_window_elements_match_sum_of_scaled_word_matrices(window_word_matrix, half):
     x = specht_element(6, 2, 1) if half is None else specht_half(6, 2, 1, half)
-    expected = scaled_sum(6, x.terms, 3, lambda word, _N: window_word_matrices[word])
+    expected = scaled_sum(6, x.terms, 3, window_word_matrix)
     assert expected != Matrix(4**6)
     assert rho_element(x, 3) == expected
 
@@ -265,7 +280,7 @@ def test_returned_columns_share_no_dict():
         rho_matrix(word, 2),
         rho_element(x, 2),
         rho_cabled_matrix(word, 2),
-        multiball.push_columns(((word, ONE),), 4, 3, all_fall),
+        multiball.push_columns([[(word, ONE)]], 4, 3, all_fall),
     ):
         assert len({id(col) for col in m.cols.values()}) == len(m.cols) == m.dim
 
@@ -301,6 +316,20 @@ def test_a_large_coefficient_alone_widens_the_digits():
     assert rho_element(HeckeElement(3, tuple(LARGE_TERMS)), 2) == scaled_sum(3, LARGE_TERMS, 2)
 
 
+def test_a_product_with_a_coefficient_past_64_bits_matches_its_expansion():
+    # The chain multiplies packed entries of the first factor, whose
+    # coefficient 2^70 alone needs digits wider than 64 bits.
+    second = ((BraidWord(3, (2, 1)), QPoly((1, -2))), (BraidWord(3), Q), (LARGE_WORD, -ONE))
+    x = HeckeProduct(3, (HeckeElement(3, tuple(LARGE_TERMS)), HeckeElement(3, second)))
+    bound = math.prod(
+        sum(sum(map(abs, c.coeffs)) * 3 ** len(w) for w, c in f.terms) for f in x.factors
+    )
+    assert digit_width(bound) > 64
+    expected = scaled_sum(3, x.terms, 2)
+    assert expected != Matrix(27)
+    assert rho_element(x, 2) == expected
+
+
 def test_an_element_column_with_the_wrong_sum_is_named(monkeypatch):
     original = multiball.apply_generator
 
@@ -314,6 +343,26 @@ def test_an_element_column_with_the_wrong_sum_is_named(monkeypatch):
     x = HeckeElement(3, ((BraidWord(3, (1,)), QPoly((2,))), (BraidWord(3, (2,)), QPoly((3,)))))
     column = state_index((1, 0, 0), 1)
     with pytest.raises(ValueError, match=rf"^column {column} sums to 7, expected 5$"):
+        rho_element(x, 1)
+
+
+def test_a_product_column_with_the_wrong_sum_is_named(monkeypatch):
+    original = multiball.apply_generator
+
+    def skewed(a, b):
+        branches = original(a, b)
+        return [(c, ONE) for c, _w in branches] if (a, b) == (1, 0) else branches
+
+    monkeypatch.setattr(multiball, "apply_generator", skewed)
+    # sigma_1 takes the column of (1,0,0) to (0,1,0) + (1,0,0), a sum of 2;
+    # sigma_2 then splits (0,1,0) into two states of weight 1 and keeps
+    # (1,0,0), so the column sums to 3 times the product 2 * 3 of epsilons.
+    x = HeckeProduct(3, (
+        HeckeElement(3, ((BraidWord(3, (1,)), QPoly((2,))),)),
+        HeckeElement(3, ((BraidWord(3, (2,)), QPoly((3,))),)),
+    ))
+    column = state_index((1, 0, 0), 1)
+    with pytest.raises(ValueError, match=rf"^column {column} sums to 18, expected 6$"):
         rho_element(x, 1)
 
 
@@ -339,7 +388,7 @@ def test_a_fall_without_branches_fails_the_column_sum_check():
     # would match q - 256, which packs to 0 at that width.
     terms = [(BraidWord(2, (1,)), QPoly((-256, 1)))]
     with pytest.raises(ValueError, match=r"^column 0 sums to 0, expected -256 \+ q$"):
-        multiball.push_columns(terms, 2, 2, lambda a, b: ())
+        multiball.push_columns((terms,), 2, 2, lambda a, b: ())
 
 
 @pytest.mark.parametrize(
@@ -358,7 +407,7 @@ def test_a_packed_entry_off_by_one_fails_the_column_sum_check(monkeypatch, terms
     n = terms[0][0].n
     assert digit_width(sum(sum(map(abs, c.coeffs)) * 3 ** len(w) for w, c in terms)) == width
     epsilon = poly_sum(c for _w, c in terms)
-    push = lambda: multiball.push_columns(terms, n, N + 1, multiball.apply_generator)
+    push = lambda: multiball.push_columns((terms,), n, N + 1, multiball.apply_generator)
     original, outputs, last = multiball.apply, [], None
 
     def off_by_one(cols, vec):
@@ -417,7 +466,7 @@ def test_pushed_columns_pass_the_decoded_column_sum_oracle(model, element, cap):
     fall = multiball.apply_generator
     if model == "cabled":
         fall = lambda a, b: cabled.apply_generator_cabled(a, b, cap)
-    m = multiball.push_columns(terms, n, cap + 1, fall)
+    m = multiball.push_columns((terms,), n, cap + 1, fall)
     assert epsilon == poly_sum(c for _w, c in terms)
     assert column_sum_failure(m, epsilon) is None
     assert column_sum_failure(m, epsilon + Q) == f"column 0 sums to {epsilon}, expected {epsilon + Q}"

@@ -1,0 +1,83 @@
+"""The alternating window elements as products of coset ladders, checked
+against the direct sum over all (N+2)! window permutations
+(``oracles.direct_sum``): term by term, and after the push at N' = N, where
+x_k dies, and at N' = N + 1, where it does not."""
+
+import math
+
+import pytest
+from oracles import direct_sum, inversions_perm, permutation_of, window_permutations
+
+from braidbowl import braid
+from braidbowl.braid import HeckeElement, specht_element, specht_half
+from braidbowl.matrix import Matrix
+from braidbowl.multiball import check_specht, rho_element
+from braidbowl.qpoly import ONE
+
+# Every window (n, N, k) with N + 2 <= 5 strands and n <= 6.
+WINDOWS = [
+    (n, N, k) for n in range(3, 7) for N in range(1, min(3, n - 2) + 1) for k in range(1, n - N)
+]
+
+
+def elements(n, N, k):
+    """(i, factored element): x_k for i = None, then half_i for each i."""
+    yield None, specht_element(n, N, k)
+    for i in range(k, k + N + 1):
+        yield i, specht_half(n, N, k, i)
+
+
+@pytest.mark.parametrize("n, N, k", WINDOWS)
+def test_expansion_hits_each_window_permutation_once_with_its_sign(n, N, k):
+    for i, x in elements(n, N, k):
+        perms = [w for w in window_permutations(n, N, k) if i is None or w[i - 1] < w[i]]
+        expanded = {}
+        for word, c in x.terms:
+            w = permutation_of(word)
+            assert w not in expanded
+            # A reduced word: a ladder product never cancels a crossing.
+            assert len(word) == inversions_perm(w)
+            expanded[w] = c
+        assert expanded == {w: (-1) ** inversions_perm(w) * ONE for w in perms}
+        assert len(x.terms) == math.factorial(N + 2) // (1 if i is None else 2)
+
+
+# Every window at N' = N and at N' = N + 1, up to dimension (N'+1)^n = 4096.
+# The two windows of 5 strands in 6 at N' = 4, dimension 15625, took 84 s
+# between them on a 2-vCPU VM, most of it in the direct sums, so they are
+# left out.
+PUSHED = [
+    (n, N, k, extra)
+    for n, N, k in WINDOWS
+    for extra in (0, 1)
+    if (N + extra + 1) ** n <= 4096
+]
+
+
+@pytest.mark.parametrize("n, N, k, extra", PUSHED)
+def test_factored_push_matches_the_push_of_the_direct_sum(n, N, k, extra):
+    for i, x in elements(n, N, k):
+        expected = rho_element(direct_sum(n, N, k, i), N + extra)
+        assert rho_element(x, N + extra) == expected
+        # At N' = N + 1 no element is killed, so the comparison is not vacuous.
+        assert (expected == Matrix(expected.dim)) == (i is None and not extra)
+
+
+def test_a_flipped_ladder_term_fails_the_kernel_first(monkeypatch):
+    # Seeded fault: the longest term of the last ladder of x_1 at (4,2,1),
+    # T(3, 2, 1), gets the wrong sign.  The halves' ladders are left alone.
+    original = braid._ladder
+
+    def flipped(n, start, stop):
+        ladder = original(n, start, stop)
+        if (start, stop) != (4, 1):
+            return ladder
+        (word, c), *rest = reversed(ladder.terms)
+        assert word.letters == (3, 2, 1)
+        return HeckeElement(n, (*reversed(rest), (word, -c)))
+
+    assert check_specht(4, 2, 1).passed
+    monkeypatch.setattr(braid, "_ladder", flipped)
+    report = check_specht(4, 2, 1)
+    assert not report.passed
+    assert report.failures[0].startswith("rho(x_1): ")
