@@ -7,7 +7,8 @@ timed line per check.  Each size's checks are the CLI's own list
 Grid: ``check all --cable 1`` for n in 3..max-n and N in 1..max-balls, then
 ``check cabled --n 3 --cable K`` for K in 2..max-cable.  Sizes share reports
 (the K=1 cabled checks, the kernels of smaller N), and each check runs and
-prints once, at its first size.
+prints once, at its first size.  A ``TOTAL <s>s`` line, the wall time of
+the whole sweep, comes before the verdict.
 
 Usage: python scripts/run_checks.py [--max-n 4] [--max-balls 3] [--max-cable 3]
 """
@@ -31,6 +32,7 @@ def main(argv=None) -> int:
     sizes += [["cabled", "--n", "3", "--cable", str(K)] for K in range(2, args.max_cable + 1)]
     ok = True
     done = set()
+    sweep_start = time.perf_counter()
     for size in sizes:
         try:
             calls = cli.suite_calls(cli.build_parser().parse_args(["check", *size]))
@@ -50,6 +52,7 @@ def main(argv=None) -> int:
                 print(f"     {failure}")
             ok &= report.passed
 
+    print(f"TOTAL {time.perf_counter() - sweep_start:.3f}s")
     print("ALL CHECKS PASSED" if ok else "CHECK FAILURES")
     return 0 if ok else 1
 

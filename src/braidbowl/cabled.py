@@ -6,7 +6,8 @@ with a balls in the over group and b in the under group, exactly c balls
 fall with probability f(c) = ``falling_probability(K, a, b, c)``, a Gaussian
 binomial times c factors 1 - q^j and a power of q, and
 ``multiball.push_columns`` moves them.  A push asks for each pair (a, b)
-once, so ``fall_distribution`` keeps no cache.
+once, so ``fall_distribution`` keeps no cache; ``rho_cabled_batch`` pushes
+all the words of a check in one call, so the check asks for each once.
 
 ``cable_word`` makes the cabling literal: it replaces every lane by K
 single-ball lanes and every crossing by its K^2 micro-crossings, so the lane
@@ -21,6 +22,7 @@ placement with rho_K.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 from .braid import BraidWord
 from .matrix import TransitionMatrix
@@ -102,12 +104,17 @@ def apply_generator_cabled(a: int, b: int, K: int):
     return fall_distribution(K, a, b).items()
 
 
+def rho_cabled_batch(words: Sequence[BraidWord], n: int, K: int) -> Iterator[TransitionMatrix]:
+    """The cabled matrix of each word on n strands, yielded in order from one
+    push, which asks for the (K+1)^2 fall distributions once."""
+    validate_cable(K)
+    fall = lambda a, b: apply_generator_cabled(a, b, K)
+    return push_columns([[[(word, ONE)]] for word in words], n, K + 1, fall)
+
+
 def rho_cabled_matrix(word: BraidWord, K: int) -> TransitionMatrix:
     """Transition matrix of a word on group-count states, dimension (K+1)^n."""
-    validate_cable(K)
-    return push_columns(
-        [[(word, ONE)]], word.n, K + 1, lambda a, b: apply_generator_cabled(a, b, K)
-    )
+    return next(rho_cabled_batch([word], word.n, K))
 
 
 def cable_word(word: BraidWord, K: int) -> BraidWord:
@@ -206,5 +213,6 @@ def check_oracle_placement_invariance(K: int) -> CheckReport:
 
 def check_cabled_braid_relation(n: int, K: int) -> CheckReport:
     """Braid relation and far commutativity for the cabled matrices."""
-    comparisons = word_pairs(braid_pairs(n) + far_pairs(n), lambda w: rho_cabled_matrix(w, K))
+    matrices_of = lambda words: rho_cabled_batch(words, n, K)
+    comparisons = word_pairs(braid_pairs(n) + far_pairs(n), matrices_of)
     return matrix_report(f"cabled-braid-relation n={n} K={K}", comparisons, n, K)

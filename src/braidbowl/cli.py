@@ -185,6 +185,9 @@ def suite_calls(args) -> list[tuple[Callable[..., CheckReport], tuple]]:
         raise ValueError(f"--k must be in 1..{n - 2} at --n {n}")
     if suite == "specht":
         validate_window(n, N, 1 if k is None else k)
+    if args.corrupt_generator and suite not in ("hecke", "all"):
+        # The flag perturbs only the hecke check; elsewhere it would pass unseen.
+        raise ValueError(f"--corrupt-generator needs a suite with the hecke check, not {suite}")
 
     calls = []
     if suite in ("braid", "all"):

@@ -111,5 +111,5 @@ class Matrix:
 
 class TransitionMatrix(Matrix):
     """A matrix from ``multiball.push_columns``, which has checked that its
-    columns sum to sum_t c_t; ``perfbench/layertrace.py`` wraps its
+    columns sum to the epsilon of its product; ``perfbench/layertrace.py`` wraps its
     constructor, so the name stays until the benchmark is revised."""

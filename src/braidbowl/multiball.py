@@ -21,11 +21,14 @@ suffix of the word at a time.  A crossing reads only the two counts (a, b)
 it meets, so the push asks the fall distribution once per pair (a, b), not
 per state, and moves the two digits of every state by index arithmetic; a
 column that the crossing moves whole, with weight 1, is a column of M(s)
-taken as it is.  rho is linear: ``rho_element`` of sum_t c_t w_t is one push
+taken as it is.  rho is linear: the matrix of sum_t c_t w_t is one sweep
 over the distinct suffixes of all the words, adding c_t M(w_t) as each word
 is reached, so columns sum to sum_t c_t.  rho is multiplicative: a product
 of such sums is pushed factor by factor and chained, rho(f g) = rho(g) @
-rho(f).
+rho(f).  One push takes a batch of such products and yields their matrices
+in order (``rho_batch``); the falls, the generator tables and the digit
+width are set once for the batch, and a factor that several products share
+is built once.  ``rho_matrix`` and ``rho_element`` are batches of one.
 
 The check_* functions verify, in exact arithmetic, the braid relation, far
 commutativity, the quadratic relation (q + sigma)(1 - sigma) = 0, the kernel
@@ -34,7 +37,10 @@ the inverse formula sigma^{-1} = q^{-1}(sigma + q - 1) at rational q.  Each
 of these matrix checks yields its (label, got, expected) comparisons in
 order, and ``matrix_report`` records them: a failure names the first entry
 where got and expected differ.  ``check_stochastic`` checks columns, not
-matrices, and records its own.
+matrices, and records its own.  Each check pushes all its matrices in one
+batch: the words of its pairs, its generators, its 100 random words, or
+x_k with the products (1 - sigma_i) half_i and the sigma_i, so that the
+factorization is compared as a pushed product, not a QPoly ``Matrix @``.
 """
 
 from __future__ import annotations
@@ -95,12 +101,17 @@ def _validate_sizes(n: int, N: int) -> None:
         raise ValueError(f"need N >= 1 (N = 0 is the trivial representation), got {N}")
 
 
+Factor = Sequence[tuple[BraidWord, QPoly]]
+
+
 def push_columns(
-    factors: Sequence[Sequence[tuple[BraidWord, QPoly]]], n: int, radix: int, fall: Fall
-) -> TransitionMatrix:
-    """The matrix of a product f_1 ... f_r of combinations f_p = sum_t c_t w_t
-    of positive words on count-tuple states, each factor given by its terms;
-    a word w is the one factor with the one term (w, ONE).
+    products: Sequence[Sequence[Factor]], n: int, radix: int, fall: Fall
+) -> Iterator[TransitionMatrix]:
+    """The matrix of each product in ``products``, yielded in order.  A
+    product f_1 ... f_r is given by its factors, and a factor
+    f_p = sum_t c_t w_t, a combination of positive words on n strands, by its
+    terms; a word w is the product of the one factor with the one term
+    (w, ONE).
 
     A state is an n-tuple of counts in 0..radix-1, at index ``state_index``.
     ``fall(a, b)`` is the model: the (c, weight) branches, with distinct c, of
@@ -109,28 +120,39 @@ def push_columns(
     (b + c, a - c) and leaves the rest: a branch's index is u's index with
     those two digits moved by (b + c - a, a - c - b).  A c outside
     0..min(a, radix-1-b) would move a digit out of its range, so it raises
-    ``ValueError`` naming the pair.  When the terms hold a letter, ``fall`` is
-    called once for each of the radix^2 pairs; a push without letters calls
-    it not at all.  Each letter's generator columns G_l are tabulated once
-    from those pairs, with no arithmetic per state: along the states, the
-    pair (a, b) that sigma_i meets holds for a run of radix^(i-1) states and
-    repeats with period radix^(i+1).  Each pair gives one shift of the
-    index, an int where the crossing moves the state whole with weight 1,
-    else a list of (offset, packed weight); one period of shifts, repeated
-    to dim, lays out the table.
+    ``ValueError`` naming the pair.  When the batch holds a letter, ``fall``
+    is called once for each of the radix^2 pairs; a batch without letters
+    calls it not at all.  Each letter's generator columns G_l are tabulated
+    once per call from those pairs, with no arithmetic per state: along the
+    states, the pair (a, b) that sigma_i meets holds for a run of
+    radix^(i-1) states and repeats with period radix^(i+1).  Each pair gives
+    one shift of the index, an int where the crossing moves the state whole
+    with weight 1, else a list of (offset, packed weight); one period of
+    shifts, repeated to dim, lays out the table.
 
-    Each factor's matrix is built right to left over the distinct suffixes of
-    its words, in packed ints (``qpoly.pack``): M(()) is the identity and
+    Then, one product at a time and in order, the push builds the factors
+    that no earlier product used, chains the product's factors, checks its
+    columns, decodes it and yields it before it goes on to the next.  A
+    factor's matrix is built right to left over the distinct suffixes of its
+    words, in packed ints (``qpoly.pack``): M(()) is the identity and
     M(l s) = M(s) @ G_l, so column j of M(l s) is ``apply(M(s), G_l[j])``.
-    Where G_l sends j to one state t with weight 1 (a <= b in the
-    single-lane model), that column is column t of M(s) itself, shared, not
-    copied.  Repeated words add their coefficients, and words whose sum is 0
-    are dropped.  Only two layers of suffixes, of lengths L and L + 1, are
-    held at once: once layer L is built, the words of length L are added,
-    each scaled by its coefficient, into the running sum.  A lone word with
-    coefficient 1 is its own sum.  The factors are then chained right to
-    left, rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1): column j of P @ F is
-    ``apply(P, F[j])``.  A single factor is its own product.
+    Where G_l sends j to one state t with weight 1 (a <= b in the single-lane
+    model), that column is column t of M(s) itself, shared, not copied.
+    Within a factor, repeated words add their coefficients and words whose
+    sum is 0 are dropped.  Factors left with the same terms are one factor,
+    built once for the whole batch and dropped after the last product that
+    uses it; whole products are not merged, so a product listed twice is
+    chained twice.  The new factors of a product are built in one sweep, so
+    a suffix that their words share is built once.  Only two layers of
+    suffixes, of lengths L and L + 1, are held at once: once layer L is
+    built, the words of length L are added, each scaled by its coefficient,
+    into their factor's running sum.  A lone word with coefficient 1 is its
+    own sum.  The factors are chained right to left,
+    rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1): column j of P @ F is
+    ``apply(P, F[j])``, and a single factor is its own product.  Every
+    column of the product, missing ones included, must sum to the product's
+    own epsilon = prod_p sum_t c_t (1 for a word), else ``ValueError`` names
+    the column: the products before it have been yielded, and it is not.
 
     A generator column's weights have total coefficient L1 norm at most
     ``growth`` (at least 1), so a column of M(s) has norm at most
@@ -138,20 +160,26 @@ def push_columns(
     M(s), for s a suffix of w_t, nor of any partial or total sum, exceeds
     sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum of |coefficient|), and as
     |.|_1 is submultiplicative, no coefficient of a partial or total product
-    exceeds the product of these bounds over the factors, which sets the
-    digit width B.  Every column, missing ones included, must sum to
-    epsilon = prod_p sum_t c_t (1 for a word), else ``ValueError`` names it.
-    The check is exact on the packed ints: ``pack`` is additive and
-    multiplicative, and the coefficients of a column's sum (at most its L1
-    norm) and of epsilon lie below 2^(B-1), where ``pack`` is injective; a
-    faulty fall keeps this, as ``growth`` is read from its own weights.
-    Branch weights are packed once, and branches of weight 0 are skipped, so
-    no packed entry is 0: ``apply`` drops cancelled sums, and the ints have
-    no zero divisors.  Each distinct entry is decoded once into a shared
-    QPoly; the returned columns are distinct dicts.
+    exceeds the product of these bounds over its factors.  The digit width B
+    is set once, from the largest of these product bounds.  That is exact
+    for every product, not only the largest: ``pack`` is additive,
+    multiplicative and injective on polynomials whose coefficients lie below
+    2^(B-1), and a width that holds the largest bound holds every smaller
+    one, so a factor shared by several products is one packed matrix for
+    all of them.  The column-sum check is exact on the packed ints for the
+    same reason: a column's sum (at most its L1 norm) and epsilon have
+    coefficients within the bound.  A faulty fall keeps this, as ``growth``
+    is read from its own weights.  Branch weights are packed once, and
+    branches of weight 0 are skipped, so no packed entry is 0: ``apply``
+    drops cancelled sums, and the ints have no zero divisors.  Each distinct
+    entry of a product is decoded once into a shared QPoly; the returned
+    columns are distinct dicts.
     """
     dim = radix**n
-    letters = {i for terms in factors for word, _c in terms for i in word.letters}
+    terms = [t for factors in products for factor in factors for t in factor]
+    if any(word.n != n for word, _c in terms):
+        raise ValueError(f"every word of a push on {n} strands must have {n} strands")
+    letters = {i for word, _c in terms for i in word.letters}
     counts = range(radix if letters else 0)
     falls = {(a, b): tuple(fall(a, b)) for a in counts for b in counts}
     for (a, b), cs in falls.items():
@@ -161,9 +189,8 @@ def push_columns(
             raise ValueError(f"fall({a}, {b}) gives c = {bad}, outside 0..{top}")
     l1 = lambda p: sum(map(abs, p.coeffs))
     growth = max([1, *(sum(l1(w) for _c, w in cs) for cs in falls.values())])
-    width = digit_width(
-        math.prod(sum(l1(c) * growth ** len(word) for word, c in terms) for terms in factors)
-    )
+    bound = lambda factor: sum(l1(c) * growth ** len(word) for word, c in factor)
+    width = digit_width(max((math.prod(map(bound, factors)) for factors in products), default=1))
     # moves[r]: (digit move, packed weight) per branch of the pair (a, b) that
     # run r of a period meets, r = a + radix b.  Digits i and i+1 move by
     # (d, -d), so the index moves by d (lo - hi).
@@ -187,54 +214,91 @@ def push_columns(
         ]
     step = lambda m, gen: {j: m[g] if type(g) is int else apply(m, g) for j, g in enumerate(gen)}
 
-    def factor_matrix(terms: Sequence[tuple[BraidWord, QPoly]]) -> dict[int, dict[int, int]]:
-        ends: dict[tuple[int, ...], int] = {}
-        for word, c in terms:
-            ends[word.letters] = ends.get(word.letters, 0) + pack(c, width)
-        ends = {word: x for word, x in ends.items() if x}
-        layer = {(): {j: {j: 1} for j in range(dim)}}
-        total: dict[int, dict[int, int]] = {}
-        for length in range(max(map(len, ends), default=-1) + 1):
-            if length:
-                suffixes = {word[-length:] for word in ends if len(word) >= length}
-                layer = {s: step(layer[s[1:]], gens[s[0]]) for s in suffixes}
-            parts = [(layer[word], x) for word, x in ends.items() if len(word) == length]
-            if total:
-                parts.append((total, 1))
-            if len(parts) == 1 and parts[0][1] == 1:
-                total = parts[0][0]
-            elif parts:
-                mats, weights = (dict(enumerate(side)) for side in zip(*parts))
-                total = {j: apply({k: m[j] for k, m in mats.items()}, weights) for j in range(dim)}
-        return total
+    # keys[p]: product p's factors, each as the frozenset of its merged
+    # (letters, packed coefficient) ends; equal sets are one factor.
+    keys = []
+    for factors in products:
+        row = []
+        for factor in factors:
+            ends: dict[tuple[int, ...], int] = {}
+            for word, c in factor:
+                ends[word.letters] = ends.get(word.letters, 0) + pack(c, width)
+            row.append(frozenset((word, x) for word, x in ends.items() if x))
+        keys.append(row)
+    last_use = {key: p for p, row in enumerate(keys) for key in row}
+    # sums[key]: the packed matrix of a factor built and not yet dropped.
+    sums: dict[frozenset, dict[int, dict[int, int]]] = {}
 
-    coefficient_sum = lambda terms: poly_sum(c for _w, c in terms)
-    total, epsilon = factor_matrix(factors[-1]), coefficient_sum(factors[-1])
-    for terms in reversed(factors[:-1]):
-        total = {j: apply(total, col) for j, col in factor_matrix(terms).items()}
-        epsilon = coefficient_sum(terms) * epsilon
-    one = pack(epsilon, width)
-    for j in range(dim):
-        got = sum(total.get(j, {}).values())
-        if got != one:
-            raise ValueError(f"column {j} sums to {unpack(got, width)}, expected {epsilon}")
-    decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, total.values()))}
-    return TransitionMatrix(
-        dim, {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()}
-    )
+    def build(new: list[frozenset]) -> None:
+        """Add the factors ``new`` to ``sums``, from one sweep over the
+        distinct suffixes of their words; a factor without terms is 0."""
+        sums.update((key, {}) for key in new)
+        words = {word for key in new for word, _x in key}
+        layer = {(): {j: {j: 1} for j in range(dim)}}
+        for length in range(max(map(len, words), default=-1) + 1):
+            if length:
+                suffixes = {word[-length:] for word in words if len(word) >= length}
+                layer = {s: step(layer[s[1:]], gens[s[0]]) for s in suffixes}
+            for key in new:
+                parts = [(layer[word], x) for word, x in key if len(word) == length]
+                if not parts:
+                    continue
+                if sums[key]:
+                    parts.append((sums[key], 1))
+                if len(parts) == 1 and parts[0][1] == 1:
+                    sums[key] = parts[0][0]
+                else:
+                    mats, weights = (dict(enumerate(side)) for side in zip(*parts))
+                    sums[key] = {
+                        j: apply({k: m[j] for k, m in mats.items()}, weights) for j in range(dim)
+                    }
+
+    def product_matrix(p: int) -> TransitionMatrix:
+        row = keys[p]
+        total = sums[row[-1]]
+        for key in reversed(row[:-1]):
+            total = {j: apply(total, col) for j, col in sums[key].items()}
+        for key in row:
+            if last_use[key] == p:
+                sums.pop(key, None)
+        coefficient_sums = (poly_sum(c for _w, c in factor) for factor in products[p])
+        epsilon = math.prod(coefficient_sums, start=ONE)
+        one = pack(epsilon, width)
+        for j in range(dim):
+            got = sum(total.get(j, {}).values())
+            if got != one:
+                raise ValueError(f"column {j} sums to {unpack(got, width)}, expected {epsilon}")
+        decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, total.values()))}
+        return TransitionMatrix(
+            dim, {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()}
+        )
+
+    for p, row in enumerate(keys):
+        build([key for key in dict.fromkeys(row) if key not in sums])
+        yield product_matrix(p)
+
+
+def rho_batch(
+    xs: Sequence[BraidWord | HeckeElement | HeckeProduct], n: int, N: int
+) -> Iterator[TransitionMatrix]:
+    """rho of each word, combination of words or product of combinations in
+    ``xs``, all on n strands, yielded in order from one push."""
+    _validate_sizes(n, N)
+    products = [
+        [[(x, ONE)]] if isinstance(x, BraidWord) else [f.terms for f in x.factors] for x in xs
+    ]
+    return push_columns(products, n, N + 1, apply_generator)
 
 
 def rho_matrix(word: BraidWord, N: int) -> TransitionMatrix:
     """The transition matrix of a word."""
-    _validate_sizes(word.n, N)
-    return push_columns([[(word, ONE)]], word.n, N + 1, apply_generator)
+    return rho_element(HeckeElement(word.n, ((word, ONE),)), N)
 
 
 def rho_element(x: HeckeElement | HeckeProduct, N: int) -> TransitionMatrix:
     """Linear extension: the matrix of a formal combination of words, or of
     a product of such combinations, pushed as the product of its factors."""
-    _validate_sizes(x.n, N)
-    return push_columns([f.terms for f in x.factors], x.n, N + 1, apply_generator)
+    return next(rho_batch([x], x.n, N))
 
 
 def fmt_state(u: BallState) -> str:
@@ -268,11 +332,15 @@ def matrix_report(name: str, comparisons: Iterable[Comparison], n: int, cap: int
 
 
 def word_pairs(
-    pairs: Iterable[tuple[BraidWord, BraidWord]], matrix_of: Callable[[BraidWord], Matrix]
+    pairs: Sequence[tuple[BraidWord, BraidWord]],
+    matrices_of: Callable[[list[BraidWord]], Iterator[Matrix]],
 ) -> Iterator[Comparison]:
-    """The comparison of matrix_of(left) with matrix_of(right) for each pair."""
+    """The comparison of the matrices of left and right for each pair, where
+    ``matrices_of`` yields the matrices of a list of words in order, so the
+    words of all the pairs are pushed in one call."""
+    matrices = matrices_of([word for pair in pairs for word in pair])
     for left, right in pairs:
-        yield f"{left} vs {right}", matrix_of(left), matrix_of(right)
+        yield f"{left} vs {right}", next(matrices), next(matrices)
 
 
 def braid_pairs(n: int) -> list[tuple[BraidWord, BraidWord]]:
@@ -296,7 +364,7 @@ def far_pairs(n: int) -> list[tuple[BraidWord, BraidWord]]:
 def check_braid_relation(n: int, N: int) -> CheckReport:
     """rho(sigma_i sigma_{i+1} sigma_i) = rho(sigma_{i+1} sigma_i sigma_{i+1})."""
     _validate_sizes(n, N)
-    comparisons = word_pairs(braid_pairs(n), lambda w: rho_matrix(w, N))
+    comparisons = word_pairs(braid_pairs(n), lambda words: rho_batch(words, n, N))
     return matrix_report(f"braid-relation n={n} N={N}", comparisons, n, N)
 
 
@@ -305,7 +373,7 @@ def check_far_commutativity(n: int, N: int) -> CheckReport:
     _validate_sizes(n, N)
     if n < 4:
         raise ValueError(f"far commutativity needs n >= 4, got {n}")
-    comparisons = word_pairs(far_pairs(n), lambda w: rho_matrix(w, N))
+    comparisons = word_pairs(far_pairs(n), lambda words: rho_batch(words, n, N))
     return matrix_report(f"far-commutativity n={n} N={N}", comparisons, n, N)
 
 
@@ -313,13 +381,15 @@ def _each_generator(
     n: int, N: int, relation: str, compare: Callable[[int, Matrix, Matrix], Comparison]
 ) -> Iterator[Comparison]:
     """compare(i, rho(sigma_i), I) for each generator, i = 1..n-1, once it is
-    checked that ``relation`` has one (n >= 2)."""
+    checked that ``relation`` has one (n >= 2); the generators are pushed in
+    one call."""
     _validate_sizes(n, N)
     if n < 2:
         raise ValueError(f"{relation} needs n >= 2, got {n}")
     ident = Matrix.identity((N + 1) ** n)
-    for i in range(1, n):
-        yield compare(i, rho_matrix(BraidWord(n, (i,)), N), ident)
+    generators = rho_batch([BraidWord(n, (i,)) for i in range(1, n)], n, N)
+    for i, m in enumerate(generators, 1):
+        yield compare(i, m, ident)
 
 
 def check_hecke(n: int, N: int, corrupt: bool = False) -> CheckReport:
@@ -342,8 +412,12 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     """The alternating window element x_k dies under rho, factors through
     (1 - sigma_i) for every window position i, and satisfies
     rho(x_k) @ rho(sigma_j) = -q rho(x_k) for window generators j.  x_k and
-    each half_i are products of coset ladders (``braid.specht_element``), so
-    each is one push of a chain of factors.
+    each half_i are products of coset ladders (``braid.specht_element``), and
+    rho(half_i)(I - rho(sigma_i)) is rho((1 - sigma_i) half_i), the product
+    with one more factor.  So one push yields x_k, then (1 - sigma_i) half_i
+    for each i, then sigma_i for each i, and builds each ladder that these
+    products share once.  At i = k, (1 - sigma_k) half_k has the factors of
+    x_k itself.
 
     The eigen-identity follows from the kernel comparison: once rho(x_k) = 0
     passes, each side is zero, so it tells something only when that fails.
@@ -353,13 +427,16 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     x = specht_element(n, N, k)
 
     def comparisons():
-        rho_x = rho_element(x, N)
+        window = range(k, k + N + 1)
+        one_minus = lambda i: HeckeElement(n, ((BraidWord(n), ONE), (BraidWord(n, (i,)), -ONE)))
+        factored = [
+            HeckeProduct(n, (one_minus(i), *specht_half(n, N, k, i).factors)) for i in window
+        ]
+        rho_x, *rest = rho_batch([x, *factored, *(BraidWord(n, (i,)) for i in window)], n, N)
+        products, gens = rest[: len(window)], rest[len(window) :]
         yield f"rho(x_{k})", rho_x, Matrix(rho_x.dim)
-        ident = Matrix.identity(rho_x.dim)
-        for i in range(k, k + N + 1):
-            half = rho_element(specht_half(n, N, k, i), N)
-            gen = rho_matrix(BraidWord(n, (i,)), N)
-            yield f"rho(x_{k}) = rho(half_{i})(I - sigma_{i})", rho_x, half @ (ident - gen)
+        for i, product, gen in zip(window, products, gens):
+            yield f"rho(x_{k}) = rho(half_{i})(I - sigma_{i})", rho_x, product
             yield f"rho(x_{k}) sigma_{i} = -q rho(x_{k})", rho_x @ gen, rho_x.scale(-Q)
 
     return matrix_report(f"specht-kernel n={n} N={N} k={k}", comparisons(), n, N)
@@ -388,8 +465,10 @@ def check_stochastic(n: int, N: int) -> CheckReport:
     """Seeded random words: every entry of a column conserves the count
     multiset of its state, and every entry has degree at most the word length.
 
-    Column sums of 1 need no check here: ``rho_matrix`` pushes (word, ONE), and
-    ``push_columns`` checks that every column sums to 1 before it returns.
+    Column sums of 1 need no check here: ``rho_batch`` pushes each word as
+    (word, ONE), and ``push_columns`` checks that every column sums to 1
+    before it yields the word's matrix.  The words are drawn first, then
+    pushed in one call.
     """
     import random
 
@@ -397,11 +476,13 @@ def check_stochastic(n: int, N: int) -> CheckReport:
     rng = random.Random(STOCHASTIC_SEED)
     report = CheckReport(name=f"stochastic n={n} N={N} words={STOCHASTIC_WORDS}")
     multisets = [tuple(sorted(u)) for u in all_states(n, N)]
+    words = []
     for _ in range(STOCHASTIC_WORDS):
         length = rng.randint(0, STOCHASTIC_MAX_LEN)
         letters = tuple(rng.randint(1, n - 1) for _ in range(length)) if n > 1 else ()
-        word = BraidWord(n, letters)
-        m = rho_matrix(word, N)
+        words.append(BraidWord(n, letters))
+    for word, m in zip(words, rho_batch(words, n, N)):
+        length = len(word)
         for j in range(m.dim):
             bad = next((i for i in m.cols.get(j, {}) if multisets[i] != multisets[j]), None)
             report.record(

@@ -30,6 +30,7 @@ from braidbowl.cabled import (
     fall_distribution,
     falling_probability,
     gauss_binom,
+    rho_cabled_batch,
     rho_cabled_matrix,
 )
 from braidbowl.cli import MAX_CABLE
@@ -352,7 +353,7 @@ class TestFormulaChecks:
 
     def test_cabled_mismatch_reports_failing_entry(self):
         pairs = [(BraidWord(3, (1,)), BraidWord(3, (2,)))]
-        comparisons = word_pairs(pairs, lambda w: rho_cabled_matrix(w, 2))
+        comparisons = word_pairs(pairs, lambda words: rho_cabled_batch(words, 3, 2))
         report = matrix_report("cabled negative control", comparisons, 3, 2)
         assert not report.passed and report.checks == 1
         assert report.failures[0].startswith("1 vs 2: u=[")

@@ -192,6 +192,24 @@ class TestCheckCommand:
         assert "FAIL" in out
         assert "expected" in out  # first failing entry is shown
 
+    @pytest.mark.parametrize("suite", ["braid", "specht", "cabled", "stochastic"])
+    def test_corrupted_generator_without_the_hecke_check_is_a_usage_error(self, capsys, suite):
+        # A negative control that no check reads would pass: exit 2, run nothing.
+        code, out, err = run(
+            capsys, "check", suite, "--n", "4", "--max-balls", "1", "--corrupt-generator",
+        )
+        assert code == 2 and out == ""
+        message = f"--corrupt-generator needs a suite with the hecke check, not {suite}"
+        assert err == f"error: {message}\n"
+
+    def test_corrupted_generator_fails_check_all(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "all", "--n", "3", "--max-balls", "1", "--cable", "1",
+            "--corrupt-generator",
+        )
+        assert code == 1
+        assert "FAIL hecke-quadratic n=3 N=1" in out and out.endswith("CHECK FAILURES\n")
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "check", "hecke", "--n", "2", "--max-balls", "1",

@@ -232,14 +232,15 @@ def test_matrix_check_fails_when_the_fall_drops_one_ball(monkeypatch, check, arg
 
 def test_far_commutativity_fails_when_one_word_is_tampered(monkeypatch):
     # No fault of the fall breaks far commutativity: far generators move
-    # disjoint digits.  So the matrix of one word is changed instead.
-    original = multiball.rho_matrix
+    # disjoint digits.  So the matrix of one word is changed instead, as the
+    # check's one batched push yields it.
+    original = multiball.rho_batch
 
-    def rho_matrix_tampered(word, N):
-        m = original(word, N)
-        return m + Matrix(m.dim, {1: {0: Q}}) if word.letters == (3, 1) else m
+    def rho_batch_tampered(words, n, N):
+        for word, m in zip(words, original(words, n, N)):
+            yield m + Matrix(m.dim, {1: {0: Q}}) if word.letters == (3, 1) else m
 
-    monkeypatch.setattr(multiball, "rho_matrix", rho_matrix_tampered)
+    monkeypatch.setattr(multiball, "rho_batch", rho_batch_tampered)
     report = check_far_commutativity(4, 2)
     assert report.failures == ["1 3 vs 3 1: u=[1,0,0,0] v=[0,0,0,0] expected q actual 0"]
 
@@ -349,17 +350,18 @@ def test_stochastic_check_runs():
 
 def tampered_stochastic_report(monkeypatch, edit):
     """``check_stochastic(3, 2)`` with ``edit(word, column)`` applied to the
-    column of state (2,0,0) of every matrix; the edits keep its sum 1."""
-    original = multiball.rho_matrix
+    column of state (2,0,0) of every matrix that the check's one batched push
+    yields; the edits keep its sum 1."""
+    original = multiball.rho_batch
     j = state_index((2, 0, 0), 2)
 
-    def rho_matrix_tampered(word, N):
-        m = original(word, N)
-        cols = {k: dict(col) for k, col in m.cols.items()}
-        edit(word, cols[j])
-        return TransitionMatrix(m.dim, cols)
+    def rho_batch_tampered(words, n, N):
+        for word, m in zip(words, original(words, n, N)):
+            cols = {k: dict(col) for k, col in m.cols.items()}
+            edit(word, cols[j])
+            yield TransitionMatrix(m.dim, cols)
 
-    monkeypatch.setattr(multiball, "rho_matrix", rho_matrix_tampered)
+    monkeypatch.setattr(multiball, "rho_batch", rho_batch_tampered)
     return check_stochastic(3, 2)
 
 

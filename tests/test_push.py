@@ -26,6 +26,12 @@ from braidbowl.multiball import index_state, rho_element, rho_matrix, state_inde
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, digit_width, poly_sum
 
 
+def push_one(factors, n, radix, fall):
+    """The matrix of one product, from a push of a batch of that product alone."""
+    (m,) = multiball.push_columns([factors], n, radix, fall)
+    return m
+
+
 def reference_push(word, cap, rule, encode, decode):
     """Push every basis state through the word as a dict of state tuples,
     calling the crossing rule on every branch and multiplying every weight."""
@@ -248,7 +254,7 @@ def test_shared_cabled_suffixes_match_sum_of_scaled_word_matrices(element, K):
     n, terms = element
     fall = lambda a, b: cabled.apply_generator_cabled(a, b, K)
     expected = scaled_sum(n, terms, K, rho_cabled_matrix)
-    assert multiball.push_columns((terms,), n, K + 1, fall) == expected
+    assert push_one((terms,), n, K + 1, fall) == expected
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +286,7 @@ def test_returned_columns_share_no_dict():
         rho_matrix(word, 2),
         rho_element(x, 2),
         rho_cabled_matrix(word, 2),
-        multiball.push_columns([[(word, ONE)]], 4, 3, all_fall),
+        push_one([[(word, ONE)]], 4, 3, all_fall),
     ):
         assert len({id(col) for col in m.cols.values()}) == len(m.cols) == m.dim
 
@@ -388,7 +394,7 @@ def test_a_fall_without_branches_fails_the_column_sum_check():
     # would match q - 256, which packs to 0 at that width.
     terms = [(BraidWord(2, (1,)), QPoly((-256, 1)))]
     with pytest.raises(ValueError, match=r"^column 0 sums to 0, expected -256 \+ q$"):
-        multiball.push_columns((terms,), 2, 2, lambda a, b: ())
+        push_one((terms,), 2, 2, lambda a, b: ())
 
 
 @pytest.mark.parametrize(
@@ -407,7 +413,7 @@ def test_a_packed_entry_off_by_one_fails_the_column_sum_check(monkeypatch, terms
     n = terms[0][0].n
     assert digit_width(sum(sum(map(abs, c.coeffs)) * 3 ** len(w) for w, c in terms)) == width
     epsilon = poly_sum(c for _w, c in terms)
-    push = lambda: multiball.push_columns((terms,), n, N + 1, multiball.apply_generator)
+    push = lambda: push_one((terms,), n, N + 1, multiball.apply_generator)
     original, outputs, last = multiball.apply, [], None
 
     def off_by_one(cols, vec):
@@ -466,7 +472,7 @@ def test_pushed_columns_pass_the_decoded_column_sum_oracle(model, element, cap):
     fall = multiball.apply_generator
     if model == "cabled":
         fall = lambda a, b: cabled.apply_generator_cabled(a, b, cap)
-    m = multiball.push_columns((terms,), n, cap + 1, fall)
+    m = push_one((terms,), n, cap + 1, fall)
     assert epsilon == poly_sum(c for _w, c in terms)
     assert column_sum_failure(m, epsilon) is None
     assert column_sum_failure(m, epsilon + Q) == f"column 0 sums to {epsilon}, expected {epsilon + Q}"
@@ -543,3 +549,105 @@ def test_every_rule_call_gets_the_two_counts_of_one_crossing(element, N):
     letters = any(word.letters for word, _c in x.terms)
     pairs = [(a, b) for a in range(N + 1) for b in range(N + 1)] if letters else []
     assert sorted(calls) == pairs
+
+
+# A batch on two strands.  The bound of sigma_1^40 (3^40 single-lane, 9^40
+# and 21^40 cabled) sets wide digits, which the short words share, but its
+# entries' coefficients are small; BIG's coefficient 2^80 really needs more
+# than 80 bits, so a width taken from any one other product would wrap it.
+# P is listed twice; F and G are factors of two products in either order and
+# of one alone; X - X cancels to 0, with epsilon 0.
+LONG = BraidWord(2, (1,) * 40)
+F = HeckeElement(2, ((BraidWord(2), ONE), (BraidWord(2, (1,)), -ONE)))
+G = HeckeElement(2, ((BraidWord(2, (1, 1)), QPoly((2, -1))), (BraidWord(2), Q)))
+P = HeckeProduct(2, (F, G))
+X = ((BraidWord(2, (1, 1, 1)), QPoly((3, 1))), (BraidWord(2, (1,)), Q))
+BIG = HeckeElement(2, ((BraidWord(2, (1, 1)), QPoly((2**80, -3))), (BraidWord(2), Q)))
+BATCH = [
+    LONG,
+    BraidWord(2),
+    BraidWord(2, (1,)),
+    BIG,
+    P,
+    HeckeProduct(2, (G, F, G)),
+    F,
+    P,
+    HeckeElement(2, X + tuple((w, -c) for w, c in X)),
+    BraidWord(2, (1, 1)),
+]
+
+
+def batch_factors(x):
+    return [[(x, ONE)]] if isinstance(x, BraidWord) else [f.terms for f in x.factors]
+
+
+@pytest.mark.parametrize(
+    "model, cap", [("single-lane", 1), ("single-lane", 3), ("cabled", 2), ("cabled", 3)]
+)
+def test_each_batched_matrix_equals_its_product_pushed_alone(model, cap):
+    fall = multiball.apply_generator
+    if model == "cabled":
+        fall = lambda a, b: cabled.apply_generator_cabled(a, b, cap)
+    products = [batch_factors(x) for x in BATCH]
+    batch = list(multiball.push_columns(products, 2, cap + 1, fall))
+    assert len(batch) == len(BATCH)
+    for factors, m in zip(products, batch):
+        assert m == push_one(factors, 2, cap + 1, fall)
+    assert batch[4] == batch[7] != Matrix((cap + 1) ** 2)
+    assert batch[8] == Matrix((cap + 1) ** 2)
+    if model == "single-lane":
+        assert batch[0] == reference_push(LONG, cap, multiball_rule, state_index, index_state)
+        assert batch[3] == scaled_sum(2, BIG.terms, cap)
+        assert batch[4] == scaled_sum(2, P.terms, cap)
+
+
+def test_a_repeated_factor_is_built_once_and_a_repeated_product_chained_twice(monkeypatch):
+    # x is two factors on three strands at N = 1 (dim 8); chaining them is
+    # one ``apply`` per column of the first factor, 8 in all.  Pushing x
+    # twice in a batch builds F and G once and chains them twice.
+    calls = recorded_calls(monkeypatch, multiball, "apply")
+    f = HeckeElement(3, ((BraidWord(3), ONE), (BraidWord(3, (2, 1)), -Q)))
+    g = HeckeElement(3, ((BraidWord(3, (1,)), QPoly((2,))), (BraidWord(3, (1, 2)), ONE)))
+    x = HeckeProduct(3, (f, g))
+    alone = list(multiball.rho_batch([x], 3, 1))
+    once = len(calls)
+    twice = list(multiball.rho_batch([x, x], 3, 1))
+    assert len(calls) - once == once + 8
+    assert twice == alone * 2
+
+
+def test_a_fall_that_breaks_column_sums_fails_before_its_matrix_is_yielded(monkeypatch):
+    original = multiball.apply_generator
+
+    def skewed(a, b):
+        # As above: sigma_1 takes the column of (1,0,0) to a sum of 2.
+        branches = original(a, b)
+        return [(c, ONE) for c, _w in branches] if (a, b) == (1, 0) else branches
+
+    monkeypatch.setattr(multiball, "apply_generator", skewed)
+    # The empty word meets no crossing and is yielded as it is; sigma_1 fails
+    # its check, so neither it nor anything after it is yielded.
+    words = [BraidWord(3), BraidWord(3, (1,)), BraidWord(3, (2,))]
+    yielded = []
+    column = state_index((1, 0, 0), 1)
+    with pytest.raises(ValueError, match=rf"^column {column} sums to 2, expected 1$"):
+        for m in multiball.rho_batch(words, 3, 1):
+            yielded.append(m)
+    assert yielded == [Matrix.identity(8)]
+
+
+def test_a_batch_checks_each_product_against_its_own_epsilon():
+    # Epsilons 1, 3 + q, 0 and (3 + q)^2 in one batch: a check against any
+    # one epsilon for all products would raise.
+    three = HeckeElement(2, ((BraidWord(2, (1,)), QPoly((3,))), (BraidWord(2), Q)))
+    zero = HeckeElement(2, ((BraidWord(2, (1,)), ONE), (BraidWord(2, (1,)), -ONE)))
+    xs = [BraidWord(2, (1,)), three, zero, HeckeProduct(2, (three, three))]
+    epsilons = [ONE, 3 + Q, ZERO, (3 + Q) * (3 + Q)]
+    matrices = list(multiball.rho_batch(xs, 2, 2))
+    assert [column_sum_failure(m, e) for m, e in zip(matrices, epsilons)] == [None] * 4
+
+
+def test_a_batch_with_a_word_on_another_strand_count_is_refused():
+    message = r"^every word of a push on 3 strands must have 3 strands$"
+    with pytest.raises(ValueError, match=message):
+        list(multiball.rho_batch([BraidWord(3, (1,)), BraidWord(4, (3,))], 3, 1))

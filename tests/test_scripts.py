@@ -14,6 +14,7 @@ from braidbowl import cabled, cli, multiball
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "run_checks.py"
 REPORT_LINE = re.compile(r"(?:PASS|FAIL) (.*?) +\d+ comparisons +\d+\.\d+s")
+TOTAL_LINE = re.compile(r"TOTAL \d+\.\d{3}s")
 
 
 def report_names(stdout):
@@ -44,7 +45,8 @@ def check_all_names(capsys, max_balls=1):
 def test_run_checks_passes_on_a_small_grid(capsys):
     proc = run_with_src(str(SCRIPT), "--max-n", "3", "--max-balls", "1", "--max-cable", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "ALL CHECKS PASSED"
+    *_, total, verdict = proc.stdout.splitlines()
+    assert TOTAL_LINE.fullmatch(total) and verdict == "ALL CHECKS PASSED"
     # the one size of this grid runs exactly the CLI's suite, in order
     assert report_names(proc.stdout) == check_all_names(capsys)
 
@@ -89,6 +91,7 @@ def test_run_checks_skips_sizes_the_cli_rejects(capsys, monkeypatch):
     assert code == 0, out
     skips = [line for line in out.splitlines() if line.startswith("SKIP")]
     assert len(skips) == 1 and "--max-balls 2" in skips[0] and "desk-scale" in skips[0]
+    assert TOTAL_LINE.fullmatch(out.splitlines()[-2])
     assert report_names(out) == check_all_names(capsys)
 
 

@@ -8,10 +8,10 @@ import math
 import pytest
 from oracles import direct_sum, inversions_perm, permutation_of, window_permutations
 
-from braidbowl import braid
-from braidbowl.braid import HeckeElement, specht_element, specht_half
+from braidbowl import braid, multiball
+from braidbowl.braid import BraidWord, HeckeElement, specht_element, specht_half
 from braidbowl.matrix import Matrix
-from braidbowl.multiball import check_specht, rho_element
+from braidbowl.multiball import check_specht, rho_element, rho_matrix
 from braidbowl.qpoly import ONE
 
 # Every window (n, N, k) with N + 2 <= 5 strands and n <= 6.
@@ -61,6 +61,30 @@ def test_factored_push_matches_the_push_of_the_direct_sum(n, N, k, extra):
         assert rho_element(x, N + extra) == expected
         # At N' = N + 1 no element is killed, so the comparison is not vacuous.
         assert (expected == Matrix(expected.dim)) == (i is None and not extra)
+
+
+@pytest.mark.parametrize("n, N, k", [(4, 2, 1), (5, 2, 1), (6, 2, 1)])
+def test_the_pushed_factorization_matches_the_matrix_product(monkeypatch, n, N, k):
+    # check_specht pushes (1 - sigma_i) half_i for each i in one batch with
+    # x_k and the sigma_i.  Its batch, pushed again at N' = N and at
+    # N' = N + 1, where nothing is killed, must match the QPoly product
+    # rho(half_i) @ (I - rho(sigma_i)) that it replaced.
+    batches, original = [], multiball.rho_batch
+    spy = lambda xs, n, N: batches.append(list(xs)) or original(xs, n, N)
+    monkeypatch.setattr(multiball, "rho_batch", spy)
+    assert check_specht(n, N, k).passed
+    (xs,) = batches
+    window = range(k, k + N + 1)
+    assert xs[0] == specht_element(n, N, k) and xs[N + 2 :] == [BraidWord(n, (i,)) for i in window]
+    for extra in (0, 1):
+        pushed = list(original(xs, n, N + extra))
+        ident = Matrix.identity(pushed[0].dim)
+        for i, product, gen in zip(window, pushed[1 : N + 2], pushed[N + 2 :]):
+            assert gen == rho_matrix(BraidWord(n, (i,)), N + extra)
+            half = rho_element(specht_half(n, N, k, i), N + extra)
+            expected = half @ (ident - gen)
+            assert product == expected == pushed[0]
+            assert (expected == Matrix(expected.dim)) == (not extra)
 
 
 def test_a_flipped_ladder_term_fails_the_kernel_first(monkeypatch):
