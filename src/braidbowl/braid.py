@@ -15,7 +15,8 @@ Conventions (fixed once, used everywhere):
   of w is (-1)^len(minimal_braid(w)).
 * A window element of m = N+2 positions is a ``HeckeProduct`` of coset
   ladders, O(m^2) letters, not the m! words of its direct sum, which
-  ``tests/oracles.py`` keeps as the oracle.
+  ``tests/oracles.py`` keeps as the oracle.  A ladder's words are the
+  prefixes of its longest word, so the push builds it as one Horner chain.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ def minimal_braid(w: Permutation) -> BraidWord:
 class HeckeElement:
     """Formal linear combination sum_t c_t w_t of positive braid words with
     QPoly coefficients: the term list (w_t, c_t) as given, neither merged,
-    sorted nor rewritten, since the push (``multiball.rho_element``) sums
-    repeated words and cancels terms exactly.  Identities involving these
-    elements are checked after applying the representation."""
+    sorted nor rewritten.  The push (``multiball.rho_element``) sums repeated
+    words, cancels terms exactly and builds the rest by Horner's rule over
+    the prefix trie of the words; a ladder's words are the prefixes of its
+    longest word, so it is one chain."""
 
     n: int
     terms: tuple[tuple[BraidWord, QPoly], ...] = ()
@@ -158,7 +160,9 @@ def _ladder(n: int, start: int, stop: int) -> HeckeElement:
     it grows <s_a..s_b> by s_(a-1).  The moves are the minimal coset
     representatives (Humphreys, *Reflection Groups and Coxeter Groups*,
     ch. 1), so the product of the ladders of a chain of subgroups is the
-    signed sum over the last one, each element once, as a reduced word."""
+    signed sum over the last one, each element once, as a reduced word.
+    The words are the prefixes of the longest, with signs +-1 in turn, so
+    the push builds a ladder as one Horner chain, 1 - T(1 - T(1 - ...))."""
 
     def moved(end: int) -> Permutation:
         exits = list(range(1, n + 1))  # exits[p - 1]: the lane that exits at p
@@ -174,7 +178,8 @@ def specht_element(n: int, N: int, k: int) -> HeckeProduct:
     window {k, ..., k+N+1}, each with coefficient sign(w) = (-1)^length, as
     the product of ladders c_k c_(k+1) ... c_(k+N), where c_t grows
     <s_k..s_(t-1)> by s_t: c_t = sum_i (-1)^i T(t, t-1, ..., t-i+1) for
-    i = 0..t-k+1."""
+    i = 0..t-k+1.  Its words are the prefixes of T(t, t-1, ..., k), so the
+    push builds c_t as one Horner chain, 1 - T_t(1 - T_(t-1)(1 - ...))."""
     validate_window(n, N, k)
     return HeckeProduct(n, tuple(_ladder(n, t + 1, k) for t in range(k, k + N + 1)))
 

@@ -15,20 +15,13 @@ each c given (a, b); ``cabled`` is another.  Here (``apply_generator``):
 States are n-tuples with 0 <= u_i <= N, indexed in mixed radix base N+1.
 The (v, u) entry of ``rho_matrix`` is the probability that bowling u
 collects v.  Composition convention: the matrix of w_1 ... w_m is
-M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.  The
-push (``push_columns``) builds it right to left, M(l s) = M(s) @ M(l), one
-suffix of the word at a time.  A crossing reads only the two counts (a, b)
-it meets, so the push asks the fall distribution once per pair (a, b), not
-per state, and moves the two digits of every state by index arithmetic; a
-column that the crossing moves whole, with weight 1, is a column of M(s)
-taken as it is.  rho is linear: the matrix of sum_t c_t w_t is one sweep
-over the distinct suffixes of all the words, adding c_t M(w_t) as each word
-is reached, so columns sum to sum_t c_t.  rho is multiplicative: a product
-of such sums is pushed factor by factor and chained, rho(f g) = rho(g) @
-rho(f).  One push takes a batch of such products and yields their matrices
-in order (``rho_batch``); the falls, the generator tables and the digit
-width are set once for the batch, and a factor that several products share
-is built once.  ``rho_matrix`` and ``rho_element`` are batches of one.
+M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.
+``push_columns`` builds it right to left, M(l s) = M(s) @ M(l), one ``step``
+per letter.  rho is linear and multiplicative, so the push builds a sum of
+words by Horner's rule over their prefix trie, and chains a product of
+such sums, rho(f g) = rho(g) @ rho(f).  It yields the matrices of a batch
+of products in order (``rho_batch``); ``rho_matrix`` and ``rho_element``
+are batches of one.
 
 The check_* functions verify, in exact arithmetic, the braid relation, far
 commutativity, the quadratic relation (q + sigma)(1 - sigma) = 0, the kernel
@@ -104,6 +97,22 @@ def _validate_sizes(n: int, N: int) -> None:
 Factor = Sequence[tuple[BraidWord, QPoly]]
 
 
+def step(m: dict[int, dict[int, int]], gen: list, c: int = 0) -> dict[int, dict[int, int]]:
+    """c I + M @ G on the packed columns ``m`` of M, empty ones included, and
+    the table ``gen`` of G: column j is column t of M itself where G sends j
+    to t with weight 1, else ``apply(m, gen[j])``; where c != 0, a copy with
+    c added at row j.  Called by this module-global name, which tests wrap."""
+    if not c:
+        return {j: m[g] if type(g) is int else apply(m, g) for j, g in enumerate(gen)}
+    out = {}
+    for j, g in enumerate(gen):
+        col = out[j] = dict(m[g]) if type(g) is int else apply(m, g)
+        col[j] = col.get(j, 0) + c
+        if not col[j]:
+            del col[j]
+    return out
+
+
 def push_columns(
     products: Sequence[Sequence[Factor]], n: int, radix: int, fall: Fall
 ) -> Iterator[TransitionMatrix]:
@@ -130,50 +139,38 @@ def push_columns(
     with weight 1, else a list of (offset, packed weight); one period of
     shifts, repeated to dim, lays out the table.
 
-    Then, one product at a time and in order, the push builds the factors
-    that no earlier product used, chains the product's factors, checks its
-    columns, decodes it and yields it before it goes on to the next.  A
-    factor's matrix is built right to left over the distinct suffixes of its
-    words, in packed ints (``qpoly.pack``): M(()) is the identity and
-    M(l s) = M(s) @ G_l, so column j of M(l s) is ``apply(M(s), G_l[j])``.
-    Where G_l sends j to one state t with weight 1 (a <= b in the single-lane
-    model), that column is column t of M(s) itself, shared, not copied.
-    Within a factor, repeated words add their coefficients and words whose
-    sum is 0 are dropped.  Factors left with the same terms are one factor,
-    built once for the whole batch and dropped after the last product that
-    uses it; whole products are not merged, so a product listed twice is
-    chained twice.  The new factors of a product are built in one sweep, so
-    a suffix that their words share is built once.  Only two layers of
-    suffixes, of lengths L and L + 1, are held at once: once layer L is
-    built, the words of length L are added, each scaled by its coefficient,
-    into their factor's running sum.  A lone word with coefficient 1 is its
-    own sum.  The factors are chained right to left,
-    rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1): column j of P @ F is
-    ``apply(P, F[j])``, and a single factor is its own product.  Every
-    column of the product, missing ones included, must sum to the product's
-    own epsilon = prod_p sum_t c_t (1 for a word), else ``ValueError`` names
+    Then, product by product, the push builds the factors that no earlier
+    product used, chains the product, checks its columns, decodes it and
+    yields it.  Within a factor, repeated words add their coefficients and
+    words whose sum is 0 are dropped; factors left with the same terms are
+    one factor, built once per batch and dropped after the last product that
+    uses it (whole products are not merged).  A factor is built in packed
+    ints (``qpoly.pack``) by Horner's rule over the prefix trie of its words,
+    deepest nodes first: the node of a prefix p has M(p) = sum over its words
+    p t of c_(p t) rho(t) = c_p I + sum over its children p l of
+    ``step(M(p l), G_l)``, and the factor is M at the root.  A lone word is
+    a chain with c = 0 at every inner node; a coset ladder, whose words are
+    the prefixes of its longest word, is a chain with signs +-1 in turn, so
+    m words cost m - 1 steps.  The factors are chained right to left,
+    rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1), column j of P @ F being
+    ``apply(P, F[j])``.  Every column of a product, missing ones included,
+    must sum to its own epsilon = prod_p sum_t c_t, else ``ValueError`` names
     the column: the products before it have been yielded, and it is not.
 
-    A generator column's weights have total coefficient L1 norm at most
-    ``growth`` (at least 1), so a column of M(s) has norm at most
-    growth^len(s).  By the triangle inequality no coefficient of an entry of
-    M(s), for s a suffix of w_t, nor of any partial or total sum, exceeds
-    sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum of |coefficient|), and as
-    |.|_1 is submultiplicative, no coefficient of a partial or total product
-    exceeds the product of these bounds over its factors.  The digit width B
-    is set once, from the largest of these product bounds.  That is exact
-    for every product, not only the largest: ``pack`` is additive,
-    multiplicative and injective on polynomials whose coefficients lie below
-    2^(B-1), and a width that holds the largest bound holds every smaller
-    one, so a factor shared by several products is one packed matrix for
-    all of them.  The column-sum check is exact on the packed ints for the
-    same reason: a column's sum (at most its L1 norm) and epsilon have
-    coefficients within the bound.  A faulty fall keeps this, as ``growth``
-    is read from its own weights.  Branch weights are packed once, and
-    branches of weight 0 are skipped, so no packed entry is 0: ``apply``
-    drops cancelled sums, and the ints have no zero divisors.  Each distinct
-    entry of a product is decoded once into a shared QPoly; the returned
-    columns are distinct dicts.
+    Digit width.  A generator column has total coefficient L1 norm at most
+    ``growth`` (read from the fall's own weights, at least 1), so a column
+    of rho(t) has norm at most growth^len(t).  M(p) is a sum over the words
+    below p, so no coefficient of it, nor of a partial sum that builds it,
+    exceeds the factor's bound sum_t |c_t|_1 growth^len(w_t) (|c|_1: the sum
+    of |coefficient|); |.|_1 is submultiplicative, so a partial or total
+    product stays within the product of its factors' bounds.  B is set once
+    from the largest product bound, which keeps every product exact:
+    ``pack`` is additive, multiplicative and injective on coefficients below
+    2^(B-1), so a shared factor is one packed matrix, and the column-sum
+    check on the packed ints is exact too.  Branches of weight 0 are skipped
+    and ``apply`` and ``step`` drop cancelled sums, so no packed entry is 0.
+    Each distinct entry of a product is decoded once into a shared QPoly;
+    the returned columns are distinct dicts.
     """
     dim = radix**n
     terms = [t for factors in products for factor in factors for t in factor]
@@ -212,7 +209,6 @@ def push_columns(
             s + sh if type(sh) is int else {s + o: x for o, x in sh}
             for s, sh in zip(range(dim), period)
         ]
-    step = lambda m, gen: {j: m[g] if type(g) is int else apply(m, g) for j, g in enumerate(gen)}
 
     # keys[p]: product p's factors, each as the frozenset of its merged
     # (letters, packed coefficient) ends; equal sets are one factor.
@@ -229,29 +225,27 @@ def push_columns(
     # sums[key]: the packed matrix of a factor built and not yet dropped.
     sums: dict[frozenset, dict[int, dict[int, int]]] = {}
 
-    def build(new: list[frozenset]) -> None:
-        """Add the factors ``new`` to ``sums``, from one sweep over the
-        distinct suffixes of their words; a factor without terms is 0."""
-        sums.update((key, {}) for key in new)
-        words = {word for key in new for word, _x in key}
-        layer = {(): {j: {j: 1} for j in range(dim)}}
-        for length in range(max(map(len, words), default=-1) + 1):
-            if length:
-                suffixes = {word[-length:] for word in words if len(word) >= length}
-                layer = {s: step(layer[s[1:]], gens[s[0]]) for s in suffixes}
-            for key in new:
-                parts = [(layer[word], x) for word, x in key if len(word) == length]
-                if not parts:
-                    continue
-                if sums[key]:
-                    parts.append((sums[key], 1))
-                if len(parts) == 1 and parts[0][1] == 1:
-                    sums[key] = parts[0][0]
-                else:
-                    mats, weights = (dict(enumerate(side)) for side in zip(*parts))
-                    sums[key] = {
-                        j: apply({k: m[j] for k, m in mats.items()}, weights) for j in range(dim)
-                    }
+    def build(key: frozenset) -> dict[int, dict[int, int]]:
+        """M at the root of the factor's prefix trie, or 0 without words.  A
+        node keeps its empty columns, as a step reads them."""
+        coeffs = dict(key)
+        nodes = {word[:i] for word in coeffs for i in range(len(word) + 1)}
+        below: dict[tuple[int, ...], list] = {}
+        m: dict[int, dict[int, int]] = {}
+        for node in sorted(nodes, key=len, reverse=True):
+            c = coeffs.get(node, 0)
+            children = below.pop(node, [])
+            if children:
+                (l, child), *children = children
+                m = step(child, gens[l], c)
+            else:
+                m = {j: {j: c} for j in range(dim)}
+            for l, child in children:
+                more = step(child, gens[l])
+                m = {j: apply({0: col, 1: more[j]}, {0: 1, 1: 1}) for j, col in m.items()}
+            if node:
+                below.setdefault(node[:-1], []).append((node[-1], m))
+        return m
 
     def product_matrix(p: int) -> TransitionMatrix:
         row = keys[p]
@@ -261,8 +255,7 @@ def push_columns(
         for key in row:
             if last_use[key] == p:
                 sums.pop(key, None)
-        coefficient_sums = (poly_sum(c for _w, c in factor) for factor in products[p])
-        epsilon = math.prod(coefficient_sums, start=ONE)
+        epsilon = math.prod((poly_sum(c for _w, c in f) for f in products[p]), start=ONE)
         one = pack(epsilon, width)
         for j in range(dim):
             got = sum(total.get(j, {}).values())
@@ -274,7 +267,7 @@ def push_columns(
         )
 
     for p, row in enumerate(keys):
-        build([key for key in dict.fromkeys(row) if key not in sums])
+        sums.update((key, build(key)) for key in dict.fromkeys(row) if key not in sums)
         yield product_matrix(p)
 
 
@@ -415,9 +408,9 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     each half_i are products of coset ladders (``braid.specht_element``), and
     rho(half_i)(I - rho(sigma_i)) is rho((1 - sigma_i) half_i), the product
     with one more factor.  So one push yields x_k, then (1 - sigma_i) half_i
-    for each i, then sigma_i for each i, and builds each ladder that these
-    products share once.  At i = k, (1 - sigma_k) half_k has the factors of
-    x_k itself.
+    for each i, then sigma_i for each i, and builds each ladder once, as one
+    Horner chain over the prefixes of its longest word; at i = k,
+    (1 - sigma_k) half_k has the factors of x_k itself.
 
     The eigen-identity follows from the kernel comparison: once rho(x_k) = 0
     passes, each side is zero, so it tells something only when that fails.

@@ -3,8 +3,9 @@ permutation of a braid word, each by direct enumeration, the alternating
 window sums as direct sums over all (N+2)! window permutations, the
 q-combinatorics of the cabled closed form as first written, with q-factorials
 and powers of 1 - q, a generator matrix built state by state and one read
-off ``rho_matrix``, the entries
-of a matrix in output order, and the column-sum check on decoded polynomials.
+off ``rho_matrix``, the matrix of a product of combinations of words by a
+sweep over the suffixes of their words, the entries of a matrix in output
+order, and the column-sum check on decoded polynomials.
 
 ``permutation_of`` returns w with w(i) = final position of the lane that
 enters at position i, as a 1-based tuple of images; this is the convention of
@@ -12,6 +13,7 @@ enters at position i, as a 1-based tuple of images; this is the convention of
 permutation_of(u + v) = permutation_of(v) after permutation_of(u).
 """
 
+import functools
 import itertools
 
 from braidbowl.cabled import gauss_binom
@@ -140,6 +142,32 @@ def generator_by_states(i, n, cap, fall):
             state_index(u[: i - 1] + (b + c, a - c) + u[i + 1 :], cap): w for c, w in fall(a, b)
         }
     return Matrix((cap + 1) ** n, cols)
+
+
+def suffix_sweep(factors, n, cap, fall):
+    """The matrix of the product of ``factors``, each a list of (word,
+    coefficient) terms on n strands, in QPoly matrices, by the push's design
+    before Horner's rule.  A factor is built right to left over the distinct
+    suffixes of its words, one layer of suffixes of length L at a time:
+    M(()) = I and M(l s) = M(s) @ G_l, with G_l from ``generator_by_states``,
+    and c_w M(w) is added into the factor's sum once the layer of w is built.
+    The factors are chained as rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1)."""
+    dim = (cap + 1) ** n
+    gen = functools.cache(lambda i: generator_by_states(i, n, cap, fall))
+    total = None
+    for terms in factors:
+        words = {word.letters for word, _c in terms}
+        layer = {(): Matrix.identity(dim)}
+        out = Matrix(dim)
+        for length in range(max(map(len, words), default=-1) + 1):
+            if length:
+                suffixes = {w[-length:] for w in words if len(w) >= length}
+                layer = {s: layer[s[1:]] @ gen(s[0]) for s in suffixes}
+            for word, c in terms:
+                if len(word) == length:
+                    out = out + layer[word.letters].scale(c)
+        total = out if total is None else out @ total
+    return total
 
 
 def generator_matrix(i, n, N):

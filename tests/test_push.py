@@ -276,7 +276,7 @@ def test_window_elements_match_sum_of_scaled_word_matrices(window_word_matrix, h
 
 def test_returned_columns_share_no_dict():
     # Most crossings of this word meet a <= b and so share a column of the
-    # suffix matrix inside the push; the result must not.  In the last model
+    # previous step inside the push; the result must not.  In the last model
     # every ball that fits falls with weight 1, so a crossing sends several
     # states to one state, and their columns are one dict inside the push.
     word = BraidWord(4, (1, 2, 3, 1, 2, 1, 3, 2, 3))
