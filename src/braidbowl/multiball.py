@@ -17,11 +17,9 @@ The (v, u) entry of ``rho_matrix`` is the probability that bowling u
 collects v.  Composition convention: the matrix of w_1 ... w_m is
 M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.
 ``push_columns`` builds it right to left, M(l s) = M(s) @ M(l), one ``step``
-per letter.  rho is linear and multiplicative, so the push builds a sum of
-words by Horner's rule over their prefix trie, and chains a product of
-such sums, rho(f g) = rho(g) @ rho(f).  It yields the matrices of a batch
-of products in order (``rho_batch``); ``rho_matrix`` and ``rho_element``
-are batches of one.
+per letter.  rho is linear and multiplicative, so the push also yields, in
+order, the matrices of a batch of products of sums of words (``rho_batch``);
+``rho_matrix`` and ``rho_element`` are batches of one.
 
 The check_* functions verify, in exact arithmetic, the braid relation, far
 commutativity, the quadratic relation (q + sigma)(1 - sigma) = 0, the kernel
@@ -139,23 +137,24 @@ def push_columns(
     with weight 1, else a list of (offset, packed weight); one period of
     shifts, repeated to dim, lays out the table.
 
-    Then, product by product, the push builds the factors that no earlier
-    product used, chains the product, checks its columns, decodes it and
-    yields it.  Within a factor, repeated words add their coefficients and
-    words whose sum is 0 are dropped; factors left with the same terms are
-    one factor, built once per batch and dropped after the last product that
-    uses it (whole products are not merged).  A factor is built in packed
-    ints (``qpoly.pack``) by Horner's rule over the prefix trie of its words,
-    deepest nodes first: the node of a prefix p has M(p) = sum over its words
-    p t of c_(p t) rho(t) = c_p I + sum over its children p l of
+    Then the push takes the products one at a time.  A product whose factor
+    lists equal those of the product just before it is yielded again, the
+    same matrix, with nothing built; nothing else is kept across products,
+    so a factor that two products share is built for each.  Otherwise the
+    factors are chained right to left, rho(f_1 ... f_r) = rho(f_r) @ ... @
+    rho(f_1), column j of P @ F being ``apply(P, F[j])``, and each is built
+    when the chain reaches it.  Within a factor, repeated words add their
+    coefficients and words whose sum is 0 are dropped.  A factor is built in
+    packed ints (``qpoly.pack``) by Horner's rule over the prefix trie of its
+    words, deepest nodes first: the node of a prefix p has M(p) = sum over
+    its words p t of c_(p t) rho(t) = c_p I + sum over its children p l of
     ``step(M(p l), G_l)``, and the factor is M at the root.  A lone word is
     a chain with c = 0 at every inner node; a coset ladder, whose words are
     the prefixes of its longest word, is a chain with signs +-1 in turn, so
-    m words cost m - 1 steps.  The factors are chained right to left,
-    rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1), column j of P @ F being
-    ``apply(P, F[j])``.  Every column of a product, missing ones included,
-    must sum to its own epsilon = prod_p sum_t c_t, else ``ValueError`` names
-    the column: the products before it have been yielded, and it is not.
+    m words cost m - 1 steps.  Every column of a product, missing ones
+    included, must sum to its own epsilon = prod_p sum_t c_t, else
+    ``ValueError`` names the column: the products before it have been
+    yielded, and it is not.
 
     Digit width.  A generator column has total coefficient L1 norm at most
     ``growth`` (read from the fall's own weights, at least 1), so a column
@@ -166,9 +165,9 @@ def push_columns(
     product stays within the product of its factors' bounds.  B is set once
     from the largest product bound, which keeps every product exact:
     ``pack`` is additive, multiplicative and injective on coefficients below
-    2^(B-1), so a shared factor is one packed matrix, and the column-sum
-    check on the packed ints is exact too.  Branches of weight 0 are skipped
-    and ``apply`` and ``step`` drop cancelled sums, so no packed entry is 0.
+    2^(B-1), so the column-sum check on the packed ints is exact too.
+    Branches of weight 0 are skipped and ``apply`` and ``step`` drop
+    cancelled sums, so no packed entry is 0.
     Each distinct entry of a product is decoded once into a shared QPoly;
     the returned columns are distinct dicts.
     """
@@ -210,25 +209,13 @@ def push_columns(
             for s, sh in zip(range(dim), period)
         ]
 
-    # keys[p]: product p's factors, each as the frozenset of its merged
-    # (letters, packed coefficient) ends; equal sets are one factor.
-    keys = []
-    for factors in products:
-        row = []
-        for factor in factors:
-            ends: dict[tuple[int, ...], int] = {}
-            for word, c in factor:
-                ends[word.letters] = ends.get(word.letters, 0) + pack(c, width)
-            row.append(frozenset((word, x) for word, x in ends.items() if x))
-        keys.append(row)
-    last_use = {key: p for p, row in enumerate(keys) for key in row}
-    # sums[key]: the packed matrix of a factor built and not yet dropped.
-    sums: dict[frozenset, dict[int, dict[int, int]]] = {}
-
-    def build(key: frozenset) -> dict[int, dict[int, int]]:
+    def build(factor: Factor) -> dict[int, dict[int, int]]:
         """M at the root of the factor's prefix trie, or 0 without words.  A
         node keeps its empty columns, as a step reads them."""
-        coeffs = dict(key)
+        ends: dict[tuple[int, ...], int] = {}
+        for word, c in factor:
+            ends[word.letters] = ends.get(word.letters, 0) + pack(c, width)
+        coeffs = {word: x for word, x in ends.items() if x}
         nodes = {word[:i] for word in coeffs for i in range(len(word) + 1)}
         below: dict[tuple[int, ...], list] = {}
         m: dict[int, dict[int, int]] = {}
@@ -247,28 +234,24 @@ def push_columns(
                 below.setdefault(node[:-1], []).append((node[-1], m))
         return m
 
-    def product_matrix(p: int) -> TransitionMatrix:
-        row = keys[p]
-        total = sums[row[-1]]
-        for key in reversed(row[:-1]):
-            total = {j: apply(total, col) for j, col in sums[key].items()}
-        for key in row:
-            if last_use[key] == p:
-                sums.pop(key, None)
-        epsilon = math.prod((poly_sum(c for _w, c in f) for f in products[p]), start=ONE)
-        one = pack(epsilon, width)
-        for j in range(dim):
-            got = sum(total.get(j, {}).values())
-            if got != one:
-                raise ValueError(f"column {j} sums to {unpack(got, width)}, expected {epsilon}")
-        decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, total.values()))}
-        return TransitionMatrix(
-            dim, {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()}
-        )
-
-    for p, row in enumerate(keys):
-        sums.update((key, build(key)) for key in dict.fromkeys(row) if key not in sums)
-        yield product_matrix(p)
+    previous = None
+    for factors in products:
+        if factors != previous:
+            total = build(factors[-1])
+            for factor in reversed(factors[:-1]):
+                total = {j: apply(total, col) for j, col in build(factor).items()}
+            epsilon = math.prod((poly_sum(c for _w, c in f) for f in factors), start=ONE)
+            one = pack(epsilon, width)
+            for j in range(dim):
+                got = sum(total.get(j, {}).values())
+                if got != one:
+                    raise ValueError(f"column {j} sums to {unpack(got, width)}, expected {epsilon}")
+            decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, total.values()))}
+            matrix = TransitionMatrix(
+                dim, {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()}
+            )
+            previous = factors
+        yield matrix
 
 
 def rho_batch(
@@ -408,14 +391,16 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     each half_i are products of coset ladders (``braid.specht_element``), and
     rho(half_i)(I - rho(sigma_i)) is rho((1 - sigma_i) half_i), the product
     with one more factor.  So one push yields x_k, then (1 - sigma_i) half_i
-    for each i, then sigma_i for each i, and builds each ladder once, as one
-    Horner chain over the prefixes of its longest word; at i = k,
-    (1 - sigma_k) half_k has the factors of x_k itself.
+    for each i, then sigma_i for each i, and builds each ladder as one
+    Horner chain over the prefixes of its longest word.  At i = k,
+    (1 - sigma_k) half_k has the factor lists of x_k itself, so the push
+    yields x_k's matrix again for it.
 
     The eigen-identity follows from the kernel comparison: once rho(x_k) = 0
     passes, each side is zero, so it tells something only when that fails.
     It stays because ``perfbench/golden.json`` counts it; at N' = N+1,
-    where x_k is not killed (ROADMAP's window-sum item), it is not vacuous."""
+    where x_k is not killed (ROADMAP's "Window checks at larger N"), it is
+    not vacuous."""
     _validate_sizes(n, N)
     x = specht_element(n, N, k)
 

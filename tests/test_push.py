@@ -555,8 +555,9 @@ def test_every_rule_call_gets_the_two_counts_of_one_crossing(element, N):
 # and 21^40 cabled) sets wide digits, which the short words share, but its
 # entries' coefficients are small; BIG's coefficient 2^80 really needs more
 # than 80 bits, so a width taken from any one other product would wrap it.
-# P is listed twice; F and G are factors of two products in either order and
-# of one alone; X - X cancels to 0, with epsilon 0.
+# P is listed twice apart, and G F G twice in a row; F and G are factors of
+# two products in either order and of one alone; X - X cancels to 0, with
+# epsilon 0.
 LONG = BraidWord(2, (1,) * 40)
 F = HeckeElement(2, ((BraidWord(2), ONE), (BraidWord(2, (1,)), -ONE)))
 G = HeckeElement(2, ((BraidWord(2, (1, 1)), QPoly((2, -1))), (BraidWord(2), Q)))
@@ -569,6 +570,7 @@ BATCH = [
     BraidWord(2, (1,)),
     BIG,
     P,
+    HeckeProduct(2, (G, F, G)),
     HeckeProduct(2, (G, F, G)),
     F,
     P,
@@ -593,27 +595,53 @@ def test_each_batched_matrix_equals_its_product_pushed_alone(model, cap):
     assert len(batch) == len(BATCH)
     for factors, m in zip(products, batch):
         assert m == push_one(factors, 2, cap + 1, fall)
-    assert batch[4] == batch[7] != Matrix((cap + 1) ** 2)
-    assert batch[8] == Matrix((cap + 1) ** 2)
+    assert batch[4] == batch[8] != Matrix((cap + 1) ** 2)
+    assert batch[5] == batch[6] != Matrix((cap + 1) ** 2)
+    assert batch[9] == Matrix((cap + 1) ** 2)
     if model == "single-lane":
         assert batch[0] == reference_push(LONG, cap, multiball_rule, state_index, index_state)
         assert batch[3] == scaled_sum(2, BIG.terms, cap)
         assert batch[4] == scaled_sum(2, P.terms, cap)
 
 
-def test_a_repeated_factor_is_built_once_and_a_repeated_product_chained_twice(monkeypatch):
-    # x is two factors on three strands at N = 1 (dim 8); chaining them is
-    # one ``apply`` per column of the first factor, 8 in all.  Pushing x
-    # twice in a batch builds F and G once and chains them twice.
-    calls = recorded_calls(monkeypatch, multiball, "apply")
-    f = HeckeElement(3, ((BraidWord(3), ONE), (BraidWord(3, (2, 1)), -Q)))
-    g = HeckeElement(3, ((BraidWord(3, (1,)), QPoly((2,))), (BraidWord(3, (1, 2)), ONE)))
-    x = HeckeProduct(3, (f, g))
-    alone = list(multiball.rho_batch([x], 3, 1))
-    once = len(calls)
-    twice = list(multiball.rho_batch([x, x], 3, 1))
-    assert len(calls) - once == once + 8
-    assert twice == alone * 2
+# Two factors on three strands at N = 1 (dim 8) whose products in either
+# order differ.
+REPEAT_F = HeckeElement(3, ((BraidWord(3), ONE), (BraidWord(3, (2, 1)), -Q)))
+REPEAT_G = HeckeElement(3, ((BraidWord(3, (1,)), QPoly((2,))), (BraidWord(3, (1, 2)), ONE)))
+FG = HeckeProduct(3, (REPEAT_F, REPEAT_G))
+GF = HeckeProduct(3, (REPEAT_G, REPEAT_F))
+
+
+def push_cost(monkeypatch, xs):
+    """The matrices of one push of ``xs`` at N = 1, and its (step, apply)
+    call counts; ``step`` calls ``apply``, and those calls count too."""
+    with monkeypatch.context() as m:
+        steps = recorded_calls(m, multiball, "step")
+        applies = recorded_calls(m, multiball, "apply")
+        matrices = list(multiball.rho_batch(xs, 3, 1))
+    return matrices, (len(steps), len(applies))
+
+
+def test_a_product_equal_to_the_one_before_it_costs_nothing(monkeypatch):
+    # The second FG is another object with equal factor lists.
+    (alone,), cost = push_cost(monkeypatch, [FG])
+    assert cost[0] and cost[1]
+    twice, twice_cost = push_cost(monkeypatch, [FG, HeckeProduct(3, (REPEAT_F, REPEAT_G))])
+    assert twice_cost == cost
+    assert twice == [alone, alone]
+
+
+def test_a_repeat_not_next_to_it_and_a_reversed_product_are_each_built(monkeypatch):
+    (fg,), fg_cost = push_cost(monkeypatch, [FG])
+    (gf,), gf_cost = push_cost(monkeypatch, [GF])
+    (g,), g_cost = push_cost(monkeypatch, [REPEAT_G])
+    assert fg != gf
+    matrices, cost = push_cost(monkeypatch, [FG, GF])
+    assert matrices == [fg, gf]
+    assert cost == tuple(map(sum, zip(fg_cost, gf_cost)))
+    matrices, cost = push_cost(monkeypatch, [FG, REPEAT_G, FG])
+    assert matrices == [fg, g, fg]
+    assert cost == tuple(map(sum, zip(fg_cost, g_cost, fg_cost)))
 
 
 def test_a_fall_that_breaks_column_sums_fails_before_its_matrix_is_yielded(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from oracles import direct_sum, inversions_perm, permutation_of, window_permutations
 
 from braidbowl import braid, multiball
-from braidbowl.braid import BraidWord, HeckeElement, specht_element, specht_half
+from braidbowl.braid import BraidWord, HeckeElement, HeckeProduct, specht_element, specht_half
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import check_specht, rho_element, rho_matrix
 from braidbowl.qpoly import ONE
@@ -105,3 +105,26 @@ def test_a_flipped_ladder_term_fails_the_kernel_first(monkeypatch):
     report = check_specht(4, 2, 1)
     assert not report.passed
     assert report.failures[0].startswith("rho(x_1): ")
+
+
+def test_a_flipped_term_of_half_k_fails_its_factorization(monkeypatch):
+    # Seeded fault: at i = k the longest term of the last ladder of half_1 at
+    # (4,2,1), T(3, 2, 1), gets the wrong sign, so (1 - sigma_1) half_1 no
+    # longer has the factor lists of x_1.  The push must build it rather than
+    # yield x_1's matrix again, and x_1 itself still dies.
+    original = multiball.specht_half
+
+    def flipped(n, N, k, i):
+        half = original(n, N, k, i)
+        if i != k:
+            return half
+        *ladders, last = half.factors
+        (word, c), *rest = reversed(last.terms)
+        assert word.letters == (3, 2, 1)
+        return HeckeProduct(n, (*ladders, HeckeElement(n, (*reversed(rest), (word, -c)))))
+
+    assert check_specht(4, 2, 1).passed
+    monkeypatch.setattr(multiball, "specht_half", flipped)
+    report = check_specht(4, 2, 1)
+    assert not report.passed
+    assert report.failures[0].startswith("rho(x_1) = rho(half_1)(I - sigma_1): ")
