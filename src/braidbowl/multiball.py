@@ -17,8 +17,10 @@ The (v, u) entry of ``rho_matrix`` is the probability that bowling u
 collects v.  Composition convention: the matrix of w_1 ... w_m is
 M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.
 ``push_columns`` builds it right to left, M(l s) = M(s) @ M(l), one ``step``
-per letter.  rho is linear and multiplicative, so the push also yields, in
-order, the matrices of a batch of products of sums of words (``rho_batch``);
+per letter, so each partial is the matrix of a suffix.  rho is linear and
+multiplicative, so the push also yields, in order, the matrices of a batch
+of products of sums of words (``rho_batch``), where a product that ends
+with the letters of the one before it starts from their partial;
 ``rho_matrix`` and ``rho_element`` are batches of one.
 
 The check_* functions verify, in exact arithmetic, the braid relation, far
@@ -29,7 +31,8 @@ of these matrix checks yields its (label, got, expected) comparisons in
 order, and ``matrix_report`` records them: a failure names the first entry
 where got and expected differ.  ``check_stochastic`` checks columns, not
 matrices, and records its own.  Each check pushes all its matrices in one
-batch: the words of its pairs, its generators, its 100 random words, or
+batch: the words of its pairs, its generators, its 100 random words (sorted
+by their reversed letters, so that words ending alike follow each other), or
 x_k with the products (1 - sigma_i) half_i and the sigma_i, so that the
 factorization is compared as a pushed product, not a QPoly ``Matrix @``.
 """
@@ -139,21 +142,24 @@ def push_columns(
 
     Then the push takes the products one at a time.  A product whose factor
     lists equal those of the product just before it is yielded again, the
-    same matrix, with nothing built; nothing else is kept across products,
-    so a factor that two products share is built for each.  Otherwise the
-    factors are chained right to left, rho(f_1 ... f_r) = rho(f_r) @ ... @
-    rho(f_1), column j of P @ F being ``apply(P, F[j])``, and each is built
-    when the chain reaches it.  Within a factor, repeated words add their
+    same matrix, with nothing built.  Otherwise it is read from its end,
+    rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1), as a list of atoms: the
+    letters of a factor that is one word with coefficient ONE, one ``step``
+    each, else the factor, built when the chain reaches it and chained by
+    column j of P @ F being ``apply(P, F[j])``.  So each partial is rho of a
+    suffix.  The push keeps only the partials of the letters that the next
+    product starts with too, and starts it from the deepest, so a batch
+    sorted by reversed letters steps each distinct suffix once, and a lone
+    product keeps nothing.  Within a factor, repeated words add their
     coefficients and words whose sum is 0 are dropped.  A factor is built in
     packed ints (``qpoly.pack``) by Horner's rule over the prefix trie of its
     words, deepest nodes first: the node of a prefix p has M(p) = sum over
     its words p t of c_(p t) rho(t) = c_p I + sum over its children p l of
-    ``step(M(p l), G_l)``, and the factor is M at the root.  A lone word is
-    a chain with c = 0 at every inner node; a coset ladder, whose words are
-    the prefixes of its longest word, is a chain with signs +-1 in turn, so
-    m words cost m - 1 steps.  Every column of a product, missing ones
-    included, must sum to its own epsilon = prod_p sum_t c_t, else
-    ``ValueError`` names the column: the products before it have been
+    ``step(M(p l), G_l)``, and the factor is M at the root.  A coset ladder,
+    whose words are the prefixes of its longest word, is a chain with signs
+    +-1 in turn, so m words cost m - 1 steps.  Every column of a product,
+    missing ones included, must sum to its own epsilon = prod_p sum_t c_t,
+    else ``ValueError`` names the column: the products before it have been
     yielded, and it is not.
 
     Digit width.  A generator column has total coefficient L1 norm at most
@@ -211,7 +217,7 @@ def push_columns(
 
     def build(factor: Factor) -> dict[int, dict[int, int]]:
         """M at the root of the factor's prefix trie, or 0 without words.  A
-        node keeps its empty columns, as a step reads them."""
+        node, and 0, keeps its empty columns, as a step reads them."""
         ends: dict[tuple[int, ...], int] = {}
         for word, c in factor:
             ends[word.letters] = ends.get(word.letters, 0) + pack(c, width)
@@ -232,14 +238,42 @@ def push_columns(
                 m = {j: apply({0: col, 1: more[j]}, {0: 1, 1: 1}) for j, col in m.items()}
             if node:
                 below.setdefault(node[:-1], []).append((node[-1], m))
-        return m
+        return m or {j: {} for j in range(dim)}
 
+    def atoms(factors: Sequence[Factor]) -> list:
+        """The product's atoms, read from its end."""
+        out: list = []
+        for f in reversed(factors):
+            out += reversed(f[0][0].letters) if len(f) == 1 and f[0][1] == ONE else [f]
+        return out
+
+    paths = [*map(atoms, products), []]
+    identity = lambda: {j: {j: 1} for j in range(dim)}
+    # kept[d]: rho of the first d + 1 letters of the path being read, for the
+    # depths that the next path starts with.
+    kept: list[dict[int, dict[int, int]]] = []
     previous = None
-    for factors in products:
+    for p, factors in enumerate(products):
+        path, keep = paths[p], 0
+        for a, b in zip(path, paths[p + 1]):
+            if type(a) is not int or a != b:
+                break
+            keep += 1
+        depth, total = len(kept), kept[-1] if kept else None
+        del kept[keep:]
         if factors != previous:
-            total = build(factors[-1])
-            for factor in reversed(factors[:-1]):
-                total = {j: apply(total, col) for j, col in build(factor).items()}
+            for d in range(depth, len(path)):
+                atom = path[d]
+                if type(atom) is int:
+                    total = step(identity() if total is None else total, gens[atom])
+                elif total is None:
+                    total = build(atom)
+                else:
+                    total = {j: apply(total, col) for j, col in build(atom).items()}
+                if d < keep:
+                    kept.append(total)
+            if total is None:
+                total = identity()
             epsilon = math.prod((poly_sum(c for _w, c in f) for f in factors), start=ONE)
             one = pack(epsilon, width)
             for j in range(dim):
@@ -446,7 +480,10 @@ def check_stochastic(n: int, N: int) -> CheckReport:
     Column sums of 1 need no check here: ``rho_batch`` pushes each word as
     (word, ONE), and ``push_columns`` checks that every column sums to 1
     before it yields the word's matrix.  The words are drawn first, then
-    pushed in one call.
+    pushed in one call sorted by their reversed letters, so the push steps
+    each distinct suffix once.  A column passes when its rows are states of
+    its own count multiset.  The verdicts are recorded in input order; only
+    a failing word is scanned entry by entry, for its failure lines.
     """
     import random
 
@@ -454,13 +491,28 @@ def check_stochastic(n: int, N: int) -> CheckReport:
     rng = random.Random(STOCHASTIC_SEED)
     report = CheckReport(name=f"stochastic n={n} N={N} words={STOCHASTIC_WORDS}")
     multisets = [tuple(sorted(u)) for u in all_states(n, N)]
+    blocks: dict[BallState, set[int]] = {}
+    for j, key in enumerate(multisets):
+        blocks.setdefault(key, set()).add(j)
     words = []
     for _ in range(STOCHASTIC_WORDS):
         length = rng.randint(0, STOCHASTIC_MAX_LEN)
         letters = tuple(rng.randint(1, n - 1) for _ in range(length)) if n > 1 else ()
         words.append(BraidWord(n, letters))
-    for word, m in zip(words, rho_batch(words, n, N)):
-        length = len(word)
+    order = sorted(range(len(words)), key=lambda w: words[w].letters[::-1])
+    failed: dict[int, TransitionMatrix] = {}
+    for w, m in zip(order, rho_batch([words[w] for w in order], n, N)):
+        entries = {id(v): v for col in m.cols.values() for v in col.values()}.values()
+        if not all(col.keys() <= blocks[multisets[j]] for j, col in m.cols.items()) or any(
+            v.degree > len(words[w]) for v in entries
+        ):
+            failed[w] = m
+    for w, word in enumerate(words):
+        if w not in failed:
+            for _ in range(len(multisets) + 1):
+                report.record(True, str)
+            continue
+        m, length = failed[w], len(word)
         for j in range(m.dim):
             bad = next((i for i in m.cols.get(j, {}) if multisets[i] != multisets[j]), None)
             report.record(

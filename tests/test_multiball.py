@@ -1,5 +1,6 @@
 """The multi-ball representation: golden columns, relation checks, properties."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -376,6 +377,62 @@ def test_stochastic_check_fails_on_an_entry_that_changes_the_count_multiset(monk
     assert not report.passed
     assert report.checks == check_stochastic(3, 2).checks
     assert "count multiset changes [2,0,0] -> [1,1,0]" in report.failures[0]
+
+
+def drawn_stochastic_words(n):
+    """The words of ``check_stochastic`` on n strands, in the order drawn."""
+    rng = random.Random(multiball.STOCHASTIC_SEED)
+    words = []
+    for _ in range(multiball.STOCHASTIC_WORDS):
+        length = rng.randint(0, multiball.STOCHASTIC_MAX_LEN)
+        words.append(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(length))))
+    return words
+
+
+@pytest.mark.parametrize("n, N, steps, checks", [(4, 2, 197, 8200), (3, 2, 119, 2800)])
+def test_stochastic_check_steps_each_distinct_suffix_once(monkeypatch, n, N, steps, checks):
+    # The words one by one take 421 steps at (4, 2) and 379 at (3, 2).
+    words = drawn_stochastic_words(n)
+    assert steps == len({w.letters[k:] for w in words for k in range(len(w))})
+    pushed, original = [], multiball.rho_batch
+
+    def recorded(xs, n, N):
+        pushed.extend(xs)
+        return original(xs, n, N)
+
+    def counted(*args):
+        calls.append(args)
+        return original_step(*args)
+
+    calls, original_step = [], multiball.step
+    monkeypatch.setattr(multiball, "rho_batch", recorded)
+    monkeypatch.setattr(multiball, "step", counted)
+    report = check_stochastic(n, N)
+    assert report.passed and report.checks == checks
+    assert len(calls) == steps
+    assert pushed == sorted(words, key=lambda w: w.letters[::-1])
+
+
+def test_stochastic_failures_are_listed_in_input_order(monkeypatch):
+    # Two words that are each drawn once, the first of which is pushed after
+    # the second; each fails one column.
+    words = drawn_stochastic_words(3)
+    once = [w for w in words if words.count(w) == 1]
+    first, second = next(
+        (a, b) for k, a in enumerate(once) for b in once[k + 1 :]
+        if b.letters[::-1] < a.letters[::-1]
+    )
+    target = state_index((1, 1, 0), 2)
+
+    def move_one_entry(word, col):
+        if word in (first, second):
+            col[target] = col.pop(next(iter(col)))
+
+    report = tampered_stochastic_report(monkeypatch, move_one_entry)
+    assert report.checks == 2800
+    assert report.failures == [
+        f"word '{w}': count multiset changes [2,0,0] -> [1,1,0]" for w in (first, second)
+    ]
 
 
 def test_stochastic_check_fails_on_an_entry_above_the_word_length(monkeypatch):

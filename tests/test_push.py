@@ -644,6 +644,81 @@ def test_a_repeat_not_next_to_it_and_a_reversed_product_are_each_built(monkeypat
     assert cost == tuple(map(sum, zip(fg_cost, g_cost, fg_cost)))
 
 
+def model_fall(model, cap):
+    if model == "cabled":
+        return lambda a, b: cabled.apply_generator_cabled(a, b, cap)
+    return multiball.apply_generator
+
+
+def counted_push(monkeypatch, products, n, cap, fall):
+    """The matrices of one push and its number of ``step`` calls."""
+    with monkeypatch.context() as m:
+        steps = recorded_calls(m, multiball, "step")
+        matrices = list(multiball.push_columns(products, n, cap + 1, fall))
+    return matrices, len(steps)
+
+
+# Words on three strands that end alike, and one of 41 letters whose bound
+# (3^41 single-lane, 9^41 and 21^41 cabled) sets digits past 64 bits.
+SUFFIX_WORDS = [
+    BraidWord(3, letters)
+    for letters in [(), (1,), (2, 1), (1, 2, 1), (2, 2, 1), (1, 2), (2, 1, 2), (2,), (1, 2, 1, 2)]
+] + [BraidWord(3, tuple(1 + k % 2 for k in range(41)))]
+
+
+@pytest.mark.parametrize("model, cap", [("single-lane", 1), ("single-lane", 2), ("cabled", 2)])
+def test_a_batch_in_suffix_order_steps_each_distinct_suffix_once(monkeypatch, model, cap):
+    fall = model_fall(model, cap)
+    words = sorted(SUFFIX_WORDS, key=lambda w: w.letters[::-1])
+    products = [[[(w, ONE)]] for w in words]
+    assert digit_width(3**41) > 64
+    matrices, steps = counted_push(monkeypatch, products, 3, cap, fall)
+    assert steps == len({w.letters[k:] for w in words for k in range(len(w))})
+    assert steps < sum(map(len, words))
+    for product, m in zip(products, matrices):
+        assert m == push_one(product, 3, cap + 1, fall)
+
+
+@pytest.mark.parametrize("model", ["single-lane", "cabled"])
+def test_only_the_next_product_starts_from_a_shared_suffix(monkeypatch, model):
+    # (2, 1) and (1, 2, 1) end alike; (1, 2) between them ends otherwise, so
+    # the last word is built in full, and a lone word costs a step a letter.
+    fall = model_fall(model, 2)
+    push = lambda *ws: counted_push(monkeypatch, [[[(w, ONE)]] for w in ws], 3, 2, fall)
+    a, b, c = (BraidWord(3, ls) for ls in [(2, 1), (1, 2), (1, 2, 1)])
+    ((ma,), sa), ((mb,), sb), ((mc,), sc) = push(a), push(b), push(c)
+    assert (sa, sb, sc) == (2, 2, 3)
+    assert push(a, b, c) == ([ma, mb, mc], 7)
+    assert push(a, c, b) == ([ma, mc, mb], 5)
+
+
+def test_sharing_stops_at_the_first_factor_that_is_not_a_word(monkeypatch):
+    # Read from its end, F w is the letters of w and then F, so F w and G w
+    # share w's two steps; w F starts with F, which w G does not share.
+    w = HeckeElement(3, ((BraidWord(3, (1, 2)), ONE),))
+    for first, second, saved in [
+        (HeckeProduct(3, (REPEAT_F, w)), HeckeProduct(3, (REPEAT_G, w)), 2),
+        (HeckeProduct(3, (w, REPEAT_F)), HeckeProduct(3, (w, REPEAT_G)), 0),
+    ]:
+        (one,), one_cost = push_cost(monkeypatch, [first])
+        (two,), two_cost = push_cost(monkeypatch, [second])
+        matrices, cost = push_cost(monkeypatch, [first, second])
+        assert matrices == [one, two]
+        assert cost[0] == one_cost[0] + two_cost[0] - saved
+
+
+@pytest.mark.parametrize("model", ["single-lane", "cabled"])
+def test_a_zero_factor_followed_by_letters_yields_zero(model):
+    # Read from its end, the product w Z is Z, whose terms cancel, and then
+    # the letters of w, stepped from the zero matrix.
+    z = ((BraidWord(3, (2,)), Q), (BraidWord(3, (2,)), -Q))
+    product = [[(BraidWord(3, (1, 2)), ONE)], z]
+    batch = [product, [[(BraidWord(3, (2, 1, 2)), ONE)]]]
+    zero, word = multiball.push_columns(batch, 3, 3, model_fall(model, 2))
+    assert zero == Matrix(27)
+    assert word == push_one(batch[1], 3, 3, model_fall(model, 2)) != Matrix(27)
+
+
 def test_a_fall_that_breaks_column_sums_fails_before_its_matrix_is_yielded(monkeypatch):
     original = multiball.apply_generator
 
