@@ -30,11 +30,12 @@ the inverse formula sigma^{-1} = q^{-1}(sigma + q - 1) at rational q.  Each
 of these matrix checks yields its (label, got, expected) comparisons in
 order, and ``matrix_report`` records them: a failure names the first entry
 where got and expected differ.  ``check_stochastic`` checks columns, not
-matrices, and records its own.  Each check pushes all its matrices in one
-batch: the words of its pairs, its generators, its 100 random words (sorted
-by their reversed letters, so that words ending alike follow each other), or
-x_k with the products (1 - sigma_i) half_i and the sigma_i, so that the
-factorization is compared as a pushed product, not a QPoly ``Matrix @``.
+matrices, and records its own in one pass in push order, one test per
+invariant.  Each check pushes all its matrices in one batch: the words of
+its pairs, its generators, its 100 random words (sorted by their reversed
+letters, so that words ending alike follow each other), or x_k with the
+products (1 - sigma_i) half_i and the sigma_i, so that the factorization is
+compared as a pushed product, not a QPoly ``Matrix @``.
 """
 
 from __future__ import annotations
@@ -480,10 +481,10 @@ def check_stochastic(n: int, N: int) -> CheckReport:
     Column sums of 1 need no check here: ``rho_batch`` pushes each word as
     (word, ONE), and ``push_columns`` checks that every column sums to 1
     before it yields the word's matrix.  The words are drawn first, then
-    pushed in one call sorted by their reversed letters, so the push steps
-    each distinct suffix once.  A column passes when its rows are states of
-    its own count multiset.  The verdicts are recorded in input order; only
-    a failing word is scanned entry by entry, for its failure lines.
+    sorted by their reversed letters and pushed in one call, so the push
+    steps each distinct suffix once.  The check is one pass in push order,
+    one test per invariant: a column's rows are states of its own count
+    multiset, and a word's distinct entries have degree at most its length.
     """
     import random
 
@@ -499,40 +500,27 @@ def check_stochastic(n: int, N: int) -> CheckReport:
         length = rng.randint(0, STOCHASTIC_MAX_LEN)
         letters = tuple(rng.randint(1, n - 1) for _ in range(length)) if n > 1 else ()
         words.append(BraidWord(n, letters))
-    order = sorted(range(len(words)), key=lambda w: words[w].letters[::-1])
-    failed: dict[int, TransitionMatrix] = {}
-    for w, m in zip(order, rho_batch([words[w] for w in order], n, N)):
-        entries = {id(v): v for col in m.cols.values() for v in col.values()}.values()
-        if not all(col.keys() <= blocks[multisets[j]] for j, col in m.cols.items()) or any(
-            v.degree > len(words[w]) for v in entries
-        ):
-            failed[w] = m
-    for w, word in enumerate(words):
-        if w not in failed:
-            for _ in range(len(multisets) + 1):
-                report.record(True, str)
-            continue
-        m, length = failed[w], len(word)
-        for j in range(m.dim):
-            bad = next((i for i in m.cols.get(j, {}) if multisets[i] != multisets[j]), None)
+    words.sort(key=lambda w: w.letters[::-1])
+    for word, m in zip(words, rho_batch(words, n, N)):
+        for j, key in enumerate(multisets):
+            col = m.cols[j]
+            ok = col.keys() <= blocks[key]
             report.record(
-                bad is None,
-                lambda: (
+                ok,
+                str if ok else lambda: (
                     f"word '{word}': count multiset changes "
                     f"{fmt_state(index_state(j, n, N))} -> "
-                    f"{fmt_state(index_state(bad, n, N))}"
+                    f"{fmt_state(index_state(next(i for i in col if i not in blocks[key]), n, N))}"
                 ),
             )
-        high = next(
-            ((i, j, v) for j, col in m.cols.items() for i, v in col.items() if v.degree > length),
-            None,
-        )
+        entries = {id(v): v for col in m.cols.values() for v in col.values()}.values()
+        high = next((v for v in entries if v.degree > len(word)), None)
         report.record(
             high is None,
-            lambda: (
-                f"word '{word}': entry u={fmt_state(index_state(high[1], n, N))} "
-                f"v={fmt_state(index_state(high[0], n, N))} is {high[2]}, "
-                f"of degree above the word length"
+            lambda: next(
+                f"word '{word}': entry u={fmt_state(index_state(j, n, N))} "
+                f"v={fmt_state(index_state(i, n, N))} is {v}, of degree above the word length"
+                for j, col in m.cols.items() for i, v in col.items() if v is high
             ),
         )
     return report

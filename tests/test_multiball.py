@@ -413,9 +413,10 @@ def test_stochastic_check_steps_each_distinct_suffix_once(monkeypatch, n, N, ste
     assert pushed == sorted(words, key=lambda w: w.letters[::-1])
 
 
-def test_stochastic_failures_are_listed_in_input_order(monkeypatch):
+def test_stochastic_failures_are_listed_in_push_order(monkeypatch):
     # Two words that are each drawn once, the first of which is pushed after
-    # the second; each fails one column.
+    # the second, since the push sorts the words by their reversed letters;
+    # each fails one column.
     words = drawn_stochastic_words(3)
     once = [w for w in words if words.count(w) == 1]
     first, second = next(
@@ -431,7 +432,31 @@ def test_stochastic_failures_are_listed_in_input_order(monkeypatch):
     report = tampered_stochastic_report(monkeypatch, move_one_entry)
     assert report.checks == 2800
     assert report.failures == [
-        f"word '{w}': count multiset changes [2,0,0] -> [1,1,0]" for w in (first, second)
+        f"word '{w}': count multiset changes [2,0,0] -> [1,1,0]" for w in (second, first)
+    ]
+
+
+def test_stochastic_word_failing_both_invariants_gets_one_line_for_each(monkeypatch):
+    # Weight q^(len + 1) moved from row (2,0,0) to row (1,1,0) of the column
+    # of (2,0,0), in one word drawn once: the column leaves its count
+    # multiset, and the word has entries above its length.
+    words = drawn_stochastic_words(3)
+    word = next(w for w in words if words.count(w) == 1)
+    same, target = state_index((2, 0, 0), 2), state_index((1, 1, 0), 2)
+    kept = []
+
+    def move_high_weight(w, col):
+        if w == word:
+            high = QPoly.monomial(len(w.letters) + 1)
+            col[same] = col.get(same, QPoly()) - high
+            col[target] = high
+            kept.append(col[same])
+
+    report = tampered_stochastic_report(monkeypatch, move_high_weight)
+    assert report.checks == 2800
+    assert report.failures == [
+        f"word '{word}': count multiset changes [2,0,0] -> [1,1,0]",
+        f"word '{word}': entry u=[2,0,0] v=[2,0,0] is {kept[0]}, of degree above the word length",
     ]
 
 
