@@ -30,7 +30,6 @@ from typing import Callable
 from . import cabled as cabledmod
 from . import multiball
 from .braid import parse_word, validate_window
-from .matrix import Matrix
 from .qpoly import QPoly
 from .report import CheckReport
 
@@ -83,25 +82,6 @@ def _check_cable(K: int) -> None:
         raise ValueError(f"--cable must be in 1..{MAX_CABLE} (desk-scale)")
 
 
-def _column_texts(m: Matrix, fmt: Callable[[object], str]):
-    """Each column of ``m`` in order as (j, rows, texts): the column's rows
-    sorted, and texts[k] = fmt(entry (rows[k], j)).  Equal entries share one
-    object (from the push or ``eval_at``), so each object is formatted once,
-    found in this same walk."""
-    shown: dict[int, str] = {}
-    for j in sorted(m.cols):
-        col = m.cols[j]
-        rows = sorted(col)
-        texts = []
-        for i in rows:
-            v = col[i]
-            text = shown.get(id(v))
-            if text is None:
-                text = shown[id(v)] = fmt(v)
-            texts.append(text)
-        yield j, rows, texts
-
-
 def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
     """Shared body of ``rho`` and ``cabled``: ``build(word)`` is the transition
     matrix on states of n counts in 0..cap."""
@@ -112,20 +92,31 @@ def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
         m = build(word)
         if eval_q is not None:
             m = m.eval_at(eval_q)
+        # Equal entries share one object (from the push or ``eval_at``), so
+        # each object is formatted once, where the walk first meets it.
+        shown: dict[int, str] = {}
         if args.format == "json":
-            entries = []
-            for j, rows, texts in _column_texts(m, _json_text(eval_q)):
-                mid = f", {j}, "
-                entries += [f"[{i}{mid}{text}]" for i, text in zip(rows, texts)]
+            fmt, entries = _json_text(eval_q), []
+            for j in sorted(m.cols):
+                col = m.cols[j]
+                for i in sorted(col):
+                    text = shown.get(id(v := col[i]))
+                    if text is None:
+                        text = shown[id(v)] = fmt(v)
+                    entries.append(f"[{i}, {j}, {text}]")
             meta = {"n": args.n, cap_name: cap, "dim": m.dim, "entries": []}
             head, tail = json.dumps(meta).rsplit("[]", 1)
             print(f"{head}[{', '.join(entries)}]{tail}", file=out)
         else:
             label = [str(list(u)) for u in multiball.all_states(args.n, cap)]
             lines = [f"n={args.n} {cap_name}={cap} word='{word}' dim={m.dim}"]
-            for j, rows, texts in _column_texts(m, str):
-                head = f"  u={label[j]} -> v="
-                lines += [f"{head}{label[i]}: {text}" for i, text in zip(rows, texts)]
+            for j in sorted(m.cols):
+                col = m.cols[j]
+                for i in sorted(col):
+                    text = shown.get(id(v := col[i]))
+                    if text is None:
+                        text = shown[id(v)] = str(v)
+                    lines.append(f"  u={label[j]} -> v={label[i]}: {text}")
             print("\n".join(lines), file=out)
     return 0
 

@@ -23,6 +23,12 @@ of products of sums of words (``rho_batch``), where a product that ends
 with the letters of the one before it starts from their partial;
 ``rho_matrix`` and ``rho_element`` are batches of one.
 
+A crossing here compares only its two counts, so rho commutes with every
+order-preserving relabelling of count values, and the block of a count
+multiset is the Hecke permutation module M^mu of its composition (Dipper
+and James, Proc. LMS 1986).  So ``push_columns`` pushes one column per
+relabelling orbit and copies the rest, where the fall's table shows this.
+
 The check_* functions verify, in exact arithmetic, the braid relation, far
 commutativity, the quadratic relation (q + sigma)(1 - sigma) = 0, the kernel
 of the alternating window elements together with their factorization, and
@@ -40,8 +46,10 @@ compared as a pushed product, not a QPoly ``Matrix @``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .braid import BraidWord, HeckeElement, HeckeProduct, specht_element, specht_half
@@ -99,15 +107,16 @@ def _validate_sizes(n: int, N: int) -> None:
 Factor = Sequence[tuple[BraidWord, QPoly]]
 
 
-def step(m: dict[int, dict[int, int]], gen: list, c: int = 0) -> dict[int, dict[int, int]]:
+def step(m: dict[int, dict[int, int]], gen: dict, c: int = 0) -> dict[int, dict[int, int]]:
     """c I + M @ G on the packed columns ``m`` of M, empty ones included, and
-    the table ``gen`` of G: column j is column t of M itself where G sends j
-    to t with weight 1, else ``apply(m, gen[j])``; where c != 0, a copy with
-    c added at row j.  Called by this module-global name, which tests wrap."""
+    the table ``gen`` of G, keyed by the columns pushed: column j is column t
+    of M itself where G sends j to t with weight 1, else ``apply(m, gen[j])``;
+    where c != 0, a copy with c added at row j.  Called by this module-global
+    name, which tests wrap."""
     if not c:
-        return {j: m[g] if type(g) is int else apply(m, g) for j, g in enumerate(gen)}
+        return {j: m[g] if type(g) is int else apply(m, g) for j, g in gen.items()}
     out = {}
-    for j, g in enumerate(gen):
+    for j, g in gen.items():
         col = out[j] = dict(m[g]) if type(g) is int else apply(m, g)
         col[j] = col.get(j, 0) + c
         if not col[j]:
@@ -139,7 +148,19 @@ def push_columns(
     radix^(i-1) states and repeats with period radix^(i+1).  Each pair gives
     one shift of the index, an int where the crossing moves the state whole
     with weight 1, else a list of (offset, packed weight); one period of
-    shifts, repeated to dim, lays out the table.
+    shifts, repeated to dim, lays out the table, read at the roots below.
+
+    Orbits.  Where each branch swaps the pair (c = 0) or keeps it
+    (c = a - b), with branches and weights set by the order of a and b alone
+    (the multi-ball fall, not the cabled ones at K >= 2), every
+    order-preserving map of count values commutes with each G_l.  Then only
+    the roots are pushed, the states whose values are exactly 0..k-1; a
+    crossing keeps the count multiset, so a root's rows are roots.  Every
+    other state is a copy, its root with values moved up by such a map: its
+    column is the root's with the rows moved by that map, which is monotone
+    in index, and shares the root's decoded entries.  The orbit tables visit
+    only the value sets of copies, of at most min(n, radix - 1) values.
+    Otherwise every state is its own root.
 
     Then the push takes the products one at a time.  A product whose factor
     lists equal those of the product just before it is yielded again, the
@@ -161,7 +182,8 @@ def push_columns(
     +-1 in turn, so m words cost m - 1 steps.  Every column of a product,
     missing ones included, must sum to its own epsilon = prod_p sum_t c_t,
     else ``ValueError`` names the column: the products before it have been
-    yielded, and it is not.
+    yielded, and it is not.  It reads the roots only: a copy sums to its
+    root's sum, and the root has the lower index.
 
     Digit width.  A generator column has total coefficient L1 norm at most
     ``growth`` (read from the fall's own weights, at least 1), so a column
@@ -176,7 +198,8 @@ def push_columns(
     Branches of weight 0 are skipped and ``apply`` and ``step`` drop
     cancelled sums, so no packed entry is 0.
     Each distinct entry of a product is decoded once into a shared QPoly;
-    the returned columns are distinct dicts.
+    the returned columns are distinct dicts, the roots' in index order, then
+    the copies'.
     """
     dim = radix**n
     terms = [t for factors in products for factor in factors for t in factor]
@@ -185,11 +208,33 @@ def push_columns(
     letters = {i for word, _c in terms for i in word.letters}
     counts = range(radix if letters else 0)
     falls = {(a, b): tuple(fall(a, b)) for a in counts for b in counts}
+    orders: dict[int, list[tuple[bool, bool, QPoly]]] = {}
+    relabels = True
     for (a, b), cs in falls.items():
         top = min(a, radix - 1 - b)
         bad = next((c for c, _w in cs if not 0 <= c <= top), None)
         if bad is not None:
             raise ValueError(f"fall({a}, {b}) gives c = {bad}, outside 0..{top}")
+        # A branch swaps the pair (c = 0) or keeps it (c = a - b), or neither.
+        shape = [(c == 0, c == a - b, w) for c, w in cs if w]
+        relabels = relabels and orders.setdefault((a > b) - (a < b), shape) == shape
+    # Every pair matched the first pair of its order, so those stand for all.
+    relabels = relabels and all(swap or keep for s in orders.values() for swap, keep, _w in s)
+    # copies[j] = (r, rows): state j is root r with its k values moved up to
+    # ``values``, and rows maps r's rows onto j's.  A root is read as places[v],
+    # the sum of radix^(i-1) over the positions i of its value v.
+    copies: dict[int, tuple[int, dict[int, int]]] = {}
+    for k in range(1, min(n, radix - 1) + 1) if relabels else ():
+        base = [
+            [sum(radix**i for i, x in enumerate(u) if x == v) for v in range(k)]
+            for u in itertools.product(range(k), repeat=n) if len(set(u)) == k
+        ]
+        rs = [sum(map(mul, range(k), places)) for places in base]
+        for values in itertools.islice(itertools.combinations(range(radix), k), 1, None):
+            js = [sum(map(mul, values, places)) for places in base]
+            rows = dict(zip(rs, js))
+            copies.update(zip(js, zip(rs, itertools.repeat(rows))))
+    roots = [j for j in range(dim) if j not in copies]
     l1 = lambda p: sum(map(abs, p.coeffs))
     growth = max([1, *(sum(l1(w) for _c, w in cs) for cs in falls.values())])
     bound = lambda factor: sum(l1(c) * growth ** len(word) for word, c in factor)
@@ -200,8 +245,8 @@ def push_columns(
     moves = [
         [(b + c - a, pack(w, width)) for c, w in falls[a, b] if w] for b in counts for a in counts
     ]
-    # gens[i][j]: the state t where sigma_i sends j with weight 1, else G_i[j].
-    gens: dict[int, list[int | dict[int, int]]] = {}
+    # gens[i][j]: the state t where sigma_i sends root j with weight 1, else G_i[j].
+    gens: dict[int, dict[int, int | dict[int, int]]] = {}
     for i in letters:
         lo, hi = radix ** (i - 1), radix**i
         shifts = [
@@ -211,10 +256,10 @@ def push_columns(
         ]
         # One period, hi * radix states, is the radix^2 runs of lo states each.
         period = [sh for sh in shifts for _ in range(lo)] * (dim // (hi * radix))
-        gens[i] = [
-            s + sh if type(sh) is int else {s + o: x for o, x in sh}
-            for s, sh in zip(range(dim), period)
-        ]
+        gens[i] = {
+            s: s + sh if type(sh) is int else {s + o: x for o, x in sh}
+            for s, sh in zip(roots, map(period.__getitem__, roots))
+        }
 
     def build(factor: Factor) -> dict[int, dict[int, int]]:
         """M at the root of the factor's prefix trie, or 0 without words.  A
@@ -233,13 +278,13 @@ def push_columns(
                 (l, child), *children = children
                 m = step(child, gens[l], c)
             else:
-                m = {j: {j: c} for j in range(dim)}
+                m = {j: {j: c} for j in roots}
             for l, child in children:
                 more = step(child, gens[l])
                 m = {j: apply({0: col, 1: more[j]}, {0: 1, 1: 1}) for j, col in m.items()}
             if node:
                 below.setdefault(node[:-1], []).append((node[-1], m))
-        return m or {j: {} for j in range(dim)}
+        return m or {j: {} for j in roots}
 
     def atoms(factors: Sequence[Factor]) -> list:
         """The product's atoms, read from its end."""
@@ -249,7 +294,7 @@ def push_columns(
         return out
 
     paths = [*map(atoms, products), []]
-    identity = lambda: {j: {j: 1} for j in range(dim)}
+    identity = lambda: {j: {j: 1} for j in roots}
     # kept[d]: rho of the first d + 1 letters of the path being read, for the
     # depths that the next path starts with.
     kept: list[dict[int, dict[int, int]]] = []
@@ -277,14 +322,15 @@ def push_columns(
                 total = identity()
             epsilon = math.prod((poly_sum(c for _w, c in f) for f in factors), start=ONE)
             one = pack(epsilon, width)
-            for j in range(dim):
+            for j in roots:
                 got = sum(total.get(j, {}).values())
                 if got != one:
                     raise ValueError(f"column {j} sums to {unpack(got, width)}, expected {epsilon}")
             decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, total.values()))}
-            matrix = TransitionMatrix(
-                dim, {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()}
-            )
+            cols = {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()}
+            for j, (r, rows) in copies.items():
+                cols[j] = {rows[t]: v for t, v in cols[r].items()}
+            matrix = TransitionMatrix(dim, cols)
             previous = factors
         yield matrix
 

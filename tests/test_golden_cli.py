@@ -69,6 +69,17 @@ GOLDEN = [
         ("cabled", " ".join(["1"] * 12), "--n", "2", "--cable", "4"),
         0, "089ec2f7905fc1b8636194b26fefb72725e9c375208fc1b23738a05c48920278",
     ),
+    # Most columns are relabelled copies of a pushed one: 75 of 256 states
+    # are pushed at n = 4, N = 3, and 13 of 216 at n = 3, N = 5.
+    (
+        ("rho", "1 2 1 3 2 1", "--n", "4", "--max-balls", "3"),
+        0, "8e170771565417abebb2fb864b5d73c338dc8cd16e14e5b4a8067487f2a62c63",
+    ),
+    (
+        ("rho", "2 1 2 1", "--n", "3", "--max-balls", "5", "--format", "pretty",
+         "--eval-q", "2/3"),
+        0, "2c6fcb16c28ba2fd3e7f0986d1126bc66d8354b97f63c6fad72b8ef18006a499",
+    ),
 ]
 
 

@@ -192,11 +192,12 @@ def test_a_flipped_level_sign_fails_the_kernel(monkeypatch):
 def test_an_inner_node_with_empty_columns_is_stepped(monkeypatch, N):
     # 1 - sigma_2 + sigma_2 sigma_1: the inner node, the prefix (2,), is
     # 1 - sigma_1, whose column is empty wherever u_1 = u_2, and the step of
-    # sigma_2 reads such columns.
+    # sigma_2 reads such columns.  The node holds the root columns, the
+    # states whose values are 0..k-1: 7 of 8 at N = 1, 13 of 27 at N = 2.
     w = lambda *letters: BraidWord(3, letters)
     terms = ((w(), ONE), (w(2), -ONE), (w(2, 1), ONE))
     calls = recorded_steps(monkeypatch)
     got = rho_element(HeckeElement(3, terms), N)
     inner, _c = calls[-1]
-    assert len(inner) == (N + 1) ** 3 and any(not col for col in inner.values())
+    assert len(inner) == {1: 7, 2: 13}[N] and any(not col for col in inner.values())
     assert got == word_sum(terms, 3, N)
