@@ -87,7 +87,7 @@ def minimal_braid(w: Permutation) -> BraidWord:
 class HeckeElement:
     """Formal linear combination sum_t c_t w_t of positive braid words with
     QPoly coefficients: the term list (w_t, c_t) as given, neither merged,
-    sorted nor rewritten.  The push (``multiball.rho_element``) sums repeated
+    sorted nor rewritten.  The push (``multiball.push_columns``) sums repeated
     words, cancels terms exactly and builds the rest by Horner's rule over
     the prefix trie of the words; a ladder's words are the prefixes of its
     longest word, so it is one chain."""
@@ -108,7 +108,7 @@ class HeckeElement:
 @dataclass(frozen=True)
 class HeckeProduct:
     """The product f_1 f_2 ... f_r of elements on n strands, kept as its
-    factors, which the push (``multiball.rho_element``) chains.  ``terms`` is
+    factors, which the push (``multiball.push_columns``) chains.  ``terms`` is
     the expansion: the word w_1 w_2 ... w_r with coefficient c_1 c_2 ... c_r
     for each choice of one term (w_p, c_p) of every factor, in the order of
     ``itertools.product``."""

@@ -27,8 +27,8 @@ from typing import Iterator, Sequence
 from .braid import BraidWord
 from .matrix import TransitionMatrix
 from .multiball import (
-    braid_pairs, far_pairs, fmt_state, index_state, matrix_report, push_columns, rho_matrix,
-    state_index, word_pairs,
+    braid_pairs, far_pairs, fmt_state, index_state, matrix_report, push_columns, pushed_pairs,
+    rho_matrix, state_index,
 )
 from .qpoly import ONE, ZERO, QPoly, poly_sum
 from .report import CheckReport
@@ -214,5 +214,5 @@ def check_oracle_placement_invariance(K: int) -> CheckReport:
 def check_cabled_braid_relation(n: int, K: int) -> CheckReport:
     """Braid relation and far commutativity for the cabled matrices."""
     matrices_of = lambda words: rho_cabled_batch(words, n, K)
-    comparisons = word_pairs(braid_pairs(n) + far_pairs(n), matrices_of)
+    comparisons = pushed_pairs(braid_pairs(n) + far_pairs(n), matrices_of)
     return matrix_report(f"cabled-braid-relation n={n} K={K}", comparisons, n, K)

@@ -3,18 +3,16 @@
 Entries are stored column-major: ``cols[j][i]`` is the (i, j) entry.  Zero
 entries are never stored, so dict equality is semantic equality: the
 constructor reads no entry, and each operation that can make a zero drops it
-where it is made (``apply`` a cancelled sum, ``scale`` a zero scalar,
-``eval_at`` a root).  Scalars only need +, * (by each other and by an int),
-and truthiness, which both QPoly and Fraction provide.  ``apply`` is the one
-sparse accumulation loop: it is the body of ``@``, ``+`` and ``-``, and also
-runs on the packed ints of ``multiball.push_columns``.
+where it is made (``apply`` a cancelled sum, ``eval_at`` a root).  Scalars
+only need +, * (by each other and by an int), and truthiness, which both
+QPoly and Fraction provide.  ``apply`` is the one sparse accumulation loop:
+it runs on the packed ints of ``multiball.push_columns``, and it is the body
+of ``@`` and ``+``, which only the tests compute.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .qpoly import ONE
 
 Column = dict[int, object]
 
@@ -55,41 +53,29 @@ class Matrix:
         """No column may hold a zero entry.  The columns are stored as given,
         so callers must not mutate them afterwards; empty ones are dropped,
         and no entry is read.  Z[q] and Q have no zero divisors, so ``apply``
-        yields no zero from zero-free operands; ``scale`` and ``eval_at``
-        drop the zeros that a zero scalar or a root makes."""
+        yields no zero from zero-free operands; ``eval_at`` drops the zeros
+        that a root makes."""
         self.dim = dim
         self.cols: dict[int, Column] = {j: col for j, col in (cols or {}).items() if col}
-
-    @classmethod
-    def identity(cls, dim: int) -> Matrix:
-        return cls(dim, {j: {j: ONE} for j in range(dim)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.dim == other.dim and self.cols == other.cols
 
-    def _combine(self, other: Matrix, sign: int) -> Matrix:
-        """self + sign * other: one ``apply`` per column, with weights 1 and sign."""
+    def __add__(self, other: Matrix) -> Matrix:
+        """Matrix sum, one ``apply`` per column.  Only the tests add matrices;
+        ``perfbench/layertrace.py`` wraps the method, so it stays until the
+        benchmark is revised."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         pair = lambda j: {0: self.cols.get(j, {}), 1: other.cols.get(j, {})}
-        return Matrix(self.dim, {j: apply(pair(j), {0: 1, 1: sign}) for j in self.cols | other.cols})
-
-    def __add__(self, other: Matrix) -> Matrix:
-        return self._combine(other, 1)
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        return self._combine(other, -1)
-
-    def scale(self, scalar) -> Matrix:
-        if not scalar:
-            return Matrix(self.dim)
-        scaled = lambda col: {i: scalar * v for i, v in col.items()}
-        return Matrix(self.dim, {j: scaled(col) for j, col in self.cols.items()})
+        return Matrix(self.dim, {j: apply(pair(j), {0: 1, 1: 1}) for j in self.cols | other.cols})
 
     def __matmul__(self, other: Matrix) -> Matrix:
-        """Matrix product: column j of A@B is A applied to column j of B."""
+        """Matrix product: column j of A@B is A applied to column j of B.  Only
+        the tests multiply matrices; ``perfbench/layertrace.py`` wraps the
+        method, so it stays until the benchmark is revised."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return Matrix(self.dim, {j: apply(self.cols, bcol) for j, bcol in other.cols.items()})

@@ -20,7 +20,7 @@ M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.
 per letter, so each partial is the matrix of a suffix.  rho is linear and
 multiplicative, so the push also yields, in order, the matrices of a batch
 of products of sums of words (``rho_batch``), where a product that ends
-with the letters of the one before it starts from their partial;
+with the letters or factors of the one before it starts from their partial;
 ``rho_matrix`` and ``rho_element`` are batches of one.
 
 A crossing here compares only its two counts, so rho commutes with every
@@ -31,17 +31,19 @@ relabelling orbit and copies the rest, where the fall's table shows this.
 
 The check_* functions verify, in exact arithmetic, the braid relation, far
 commutativity, the quadratic relation (q + sigma)(1 - sigma) = 0, the kernel
-of the alternating window elements together with their factorization, and
-the inverse formula sigma^{-1} = q^{-1}(sigma + q - 1) at rational q.  Each
-of these matrix checks yields its (label, got, expected) comparisons in
-order, and ``matrix_report`` records them: a failure names the first entry
-where got and expected differ.  ``check_stochastic`` checks columns, not
+of the alternating window elements together with their factorization and
+eigen-identity, and the inverse formula sigma (sigma + q - 1) = q, so
+sigma^{-1} = q^{-1}(sigma + q - 1) at rational q != 0.  Each of these matrix
+checks compares two products, each side of every comparison pushed, with
+no ``Matrix`` arithmetic: ``pushed_pairs`` pushes both sides of a list of
+labelled (left, right) pairs in one batch, and ``check_specht`` pushes its
+window products in one batch ordered so that x_k's ladders are stepped
+once.  The checks yield their (label, got, expected) comparisons in order,
+and ``matrix_report`` records them: a failure names the first entry where
+got and expected differ.  ``check_stochastic`` checks columns, not
 matrices, and records its own in one pass in push order, one test per
-invariant.  Each check pushes all its matrices in one batch: the words of
-its pairs, its generators, its 100 random words (sorted by their reversed
-letters, so that words ending alike follow each other), or x_k with the
-products (1 - sigma_i) half_i and the sigma_i, so that the factorization is
-compared as a pushed product, not a QPoly ``Matrix @``.
+invariant, over its 100 random words pushed in one batch (sorted by their
+reversed letters, so that words ending alike follow each other).
 """
 
 from __future__ import annotations
@@ -169,10 +171,11 @@ def push_columns(
     letters of a factor that is one word with coefficient ONE, one ``step``
     each, else the factor, built when the chain reaches it and chained by
     column j of P @ F being ``apply(P, F[j])``.  So each partial is rho of a
-    suffix.  The push keeps only the partials of the letters that the next
-    product starts with too, and starts it from the deepest, so a batch
-    sorted by reversed letters steps each distinct suffix once, and a lone
-    product keeps nothing.  Within a factor, repeated words add their
+    suffix.  The push keeps only the partials of the atoms, letters or equal
+    factors, that the next product starts with too, and starts it from the
+    deepest, so a batch sorted by reversed letters steps each distinct suffix
+    once, products that start with the same factors build them once, and a
+    lone product keeps nothing.  Within a factor, repeated words add their
     coefficients and words whose sum is 0 are dropped.  A factor is built in
     packed ints (``qpoly.pack``) by Horner's rule over the prefix trie of its
     words, deepest nodes first: the node of a prefix p has M(p) = sum over
@@ -295,14 +298,14 @@ def push_columns(
 
     paths = [*map(atoms, products), []]
     identity = lambda: {j: {j: 1} for j in roots}
-    # kept[d]: rho of the first d + 1 letters of the path being read, for the
+    # kept[d]: rho of the first d + 1 atoms of the path being read, for the
     # depths that the next path starts with.
     kept: list[dict[int, dict[int, int]]] = []
     previous = None
     for p, factors in enumerate(products):
         path, keep = paths[p], 0
         for a, b in zip(path, paths[p + 1]):
-            if type(a) is not int or a != b:
+            if a != b:
                 break
             keep += 1
         depth, total = len(kept), kept[-1] if kept else None
@@ -335,9 +338,10 @@ def push_columns(
         yield matrix
 
 
-def rho_batch(
-    xs: Sequence[BraidWord | HeckeElement | HeckeProduct], n: int, N: int
-) -> Iterator[TransitionMatrix]:
+Pushable = BraidWord | HeckeElement | HeckeProduct
+
+
+def rho_batch(xs: Sequence[Pushable], n: int, N: int) -> Iterator[TransitionMatrix]:
     """rho of each word, combination of words or product of combinations in
     ``xs``, all on n strands, yielded in order from one push."""
     _validate_sizes(n, N)
@@ -388,40 +392,42 @@ def matrix_report(name: str, comparisons: Iterable[Comparison], n: int, cap: int
     return report
 
 
-def word_pairs(
-    pairs: Sequence[tuple[BraidWord, BraidWord]],
-    matrices_of: Callable[[list[BraidWord]], Iterator[Matrix]],
+def pushed_pairs(
+    pairs: Sequence[tuple[str, Pushable, Pushable]],
+    push: Callable[[list[Pushable]], Iterator[Matrix]],
 ) -> Iterator[Comparison]:
-    """The comparison of the matrices of left and right for each pair, where
-    ``matrices_of`` yields the matrices of a list of words in order, so the
-    words of all the pairs are pushed in one call."""
-    matrices = matrices_of([word for pair in pairs for word in pair])
-    for left, right in pairs:
-        yield f"{left} vs {right}", next(matrices), next(matrices)
+    """(label, rho(left), rho(right)) for each (label, left, right) in
+    ``pairs``, where ``push`` yields the matrices of a list of words or
+    products in order, so both sides of every pair are pushed in one call."""
+    matrices = push([side for _label, left, right in pairs for side in (left, right)])
+    for label, _left, _right in pairs:
+        yield label, next(matrices), next(matrices)
 
 
-def braid_pairs(n: int) -> list[tuple[BraidWord, BraidWord]]:
-    """(sigma_i sigma_{i+1} sigma_i, sigma_{i+1} sigma_i sigma_{i+1}) for every i."""
+def braid_pairs(n: int) -> list[tuple[str, BraidWord, BraidWord]]:
+    """(sigma_i sigma_{i+1} sigma_i, sigma_{i+1} sigma_i sigma_{i+1}) for every
+    i, each labelled "left vs right"."""
     if n < 3:
         raise ValueError(f"braid relation needs n >= 3, got {n}")
-    return [
+    words = [
         (BraidWord(n, (i, i + 1, i)), BraidWord(n, (i + 1, i, i + 1))) for i in range(1, n - 1)
     ]
+    return [(f"{left} vs {right}", left, right) for left, right in words]
 
 
-def far_pairs(n: int) -> list[tuple[BraidWord, BraidWord]]:
-    """(sigma_i sigma_j, sigma_j sigma_i) for every |i - j| > 1."""
-    return [
-        (BraidWord(n, (i, j)), BraidWord(n, (j, i)))
-        for i in range(1, n)
-        for j in range(i + 2, n)
+def far_pairs(n: int) -> list[tuple[str, BraidWord, BraidWord]]:
+    """(sigma_i sigma_j, sigma_j sigma_i) for every |i - j| > 1, each labelled
+    "left vs right"."""
+    words = [
+        (BraidWord(n, (i, j)), BraidWord(n, (j, i))) for i in range(1, n) for j in range(i + 2, n)
     ]
+    return [(f"{left} vs {right}", left, right) for left, right in words]
 
 
 def check_braid_relation(n: int, N: int) -> CheckReport:
     """rho(sigma_i sigma_{i+1} sigma_i) = rho(sigma_{i+1} sigma_i sigma_{i+1})."""
     _validate_sizes(n, N)
-    comparisons = word_pairs(braid_pairs(n), lambda words: rho_batch(words, n, N))
+    comparisons = pushed_pairs(braid_pairs(n), lambda xs: rho_batch(xs, n, N))
     return matrix_report(f"braid-relation n={n} N={N}", comparisons, n, N)
 
 
@@ -430,52 +436,49 @@ def check_far_commutativity(n: int, N: int) -> CheckReport:
     _validate_sizes(n, N)
     if n < 4:
         raise ValueError(f"far commutativity needs n >= 4, got {n}")
-    comparisons = word_pairs(far_pairs(n), lambda words: rho_batch(words, n, N))
+    comparisons = pushed_pairs(far_pairs(n), lambda xs: rho_batch(xs, n, N))
     return matrix_report(f"far-commutativity n={n} N={N}", comparisons, n, N)
 
 
-def _each_generator(
-    n: int, N: int, relation: str, compare: Callable[[int, Matrix, Matrix], Comparison]
-) -> Iterator[Comparison]:
-    """compare(i, rho(sigma_i), I) for each generator, i = 1..n-1, once it is
-    checked that ``relation`` has one (n >= 2); the generators are pushed in
-    one call."""
+def check_hecke(n: int, N: int, corrupt: bool = False) -> CheckReport:
+    """rho((q + sigma_i)(1 - sigma_i)) = 0 for every generator, pushed as the
+    product of its two factors; the push checks that its columns sum to its
+    epsilon, (q + 1) 0 = 0.
+
+    ``corrupt`` is a test-only negative control: it puts sigma_1 + 1 in place
+    of sigma_1 in both factors, so the check must fail and report the entry.
+    The columns of (q + 1 + sigma_1)(-sigma_1) sum to its own epsilon,
+    -(q + 2), so the push does not raise.
+    """
     _validate_sizes(n, N)
     if n < 2:
-        raise ValueError(f"{relation} needs n >= 2, got {n}")
-    ident = Matrix.identity((N + 1) ** n)
-    generators = rho_batch([BraidWord(n, (i,)) for i in range(1, n)], n, N)
-    for i, m in enumerate(generators, 1):
-        yield compare(i, m, ident)
+        raise ValueError(f"quadratic relation needs n >= 2, got {n}")
+    one = BraidWord(n)
 
+    def relation(i):
+        sigma = ((BraidWord(n, (i,)), ONE), *([(one, ONE)] if corrupt and i == 1 else []))
+        left = HeckeElement(n, ((one, Q), *sigma))
+        right = HeckeElement(n, ((one, ONE), *((w, -c) for w, c in sigma)))
+        return f"(q+sigma_{i})(1-sigma_{i})", HeckeProduct(n, (left, right)), HeckeElement(n)
 
-def check_hecke(n: int, N: int, corrupt: bool = False) -> CheckReport:
-    """(q I + rho(sigma_i)) @ (I - rho(sigma_i)) = 0 for every generator.
-
-    ``corrupt`` is a test-only negative control: it perturbs the first
-    generator matrix so the check must fail and report the entry.
-    """
-
-    def compare(i, m, ident):
-        if corrupt and i == 1:
-            m = m + Matrix(m.dim, {0: {0: ONE}})
-        return f"(q+sigma_{i})(1-sigma_{i})", (ident.scale(Q) + m) @ (ident - m), Matrix(m.dim)
-
-    comparisons = _each_generator(n, N, "quadratic relation", compare)
+    comparisons = pushed_pairs([relation(i) for i in range(1, n)], lambda xs: rho_batch(xs, n, N))
     return matrix_report(f"hecke-quadratic n={n} N={N}", comparisons, n, N)
 
 
 def check_specht(n: int, N: int, k: int) -> CheckReport:
     """The alternating window element x_k dies under rho, factors through
     (1 - sigma_i) for every window position i, and satisfies
-    rho(x_k) @ rho(sigma_j) = -q rho(x_k) for window generators j.  x_k and
-    each half_i are products of coset ladders (``braid.specht_element``), and
+    rho(x_k sigma_j) = -q rho(x_k) for window generators j.  x_k and each
+    half_i are products of coset ladders (``braid.specht_element``), and
     rho(half_i)(I - rho(sigma_i)) is rho((1 - sigma_i) half_i), the product
-    with one more factor.  So one push yields x_k, then (1 - sigma_i) half_i
-    for each i, then sigma_i for each i, and builds each ladder as one
-    Horner chain over the prefixes of its longest word.  At i = k,
-    (1 - sigma_k) half_k has the factor lists of x_k itself, so the push
-    yields x_k's matrix again for it.
+    with one more factor; rho(x_k) rho(sigma_j) is rho(sigma_j x_k), and
+    -q rho(x_k) is rho((-q) x_k).  So every side is a pushed product, and
+    one push yields them all and builds each ladder as one Horner chain over
+    the prefixes of its longest word.  (1 - sigma_k) half_k has the factor
+    lists of x_k itself, so the push takes (1 - sigma_i) half_i for i from
+    k + N down to k, then x_k, which it yields again for nothing, then
+    sigma_j x_k for each j and (-q) x_k, which all start from x_k's
+    partials: x_k's ladders are stepped once.
 
     The eigen-identity follows from the kernel comparison: once rho(x_k) = 0
     passes, each side is zero, so it tells something only when that fails.
@@ -484,35 +487,44 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     not vacuous."""
     _validate_sizes(n, N)
     x = specht_element(n, N, k)
+    window = range(k, k + N + 1)
+    one, word = BraidWord(n), lambda i: BraidWord(n, (i,))
+    one_minus = lambda i: HeckeElement(n, ((one, ONE), (word(i), -ONE)))
+    factored = [HeckeProduct(n, (one_minus(i), *specht_half(n, N, k, i).factors)) for i in window]
+    times = lambda term: HeckeProduct(n, (HeckeElement(n, (term,)), *x.factors))
+    xs = [*factored[::-1], x, *(times((word(i), ONE)) for i in window), times((one, -Q))]
+    matrices = list(rho_batch(xs, n, N))
+    rho_x, minus_q = matrices[N + 1], matrices[-1]
 
     def comparisons():
-        window = range(k, k + N + 1)
-        one_minus = lambda i: HeckeElement(n, ((BraidWord(n), ONE), (BraidWord(n, (i,)), -ONE)))
-        factored = [
-            HeckeProduct(n, (one_minus(i), *specht_half(n, N, k, i).factors)) for i in window
-        ]
-        rho_x, *rest = rho_batch([x, *factored, *(BraidWord(n, (i,)) for i in window)], n, N)
-        products, gens = rest[: len(window)], rest[len(window) :]
         yield f"rho(x_{k})", rho_x, Matrix(rho_x.dim)
-        for i, product, gen in zip(window, products, gens):
+        for i, product, times_sigma in zip(window, matrices[N::-1], matrices[N + 2 : -1]):
             yield f"rho(x_{k}) = rho(half_{i})(I - sigma_{i})", rho_x, product
-            yield f"rho(x_{k}) sigma_{i} = -q rho(x_{k})", rho_x @ gen, rho_x.scale(-Q)
+            yield f"rho(x_{k}) sigma_{i} = -q rho(x_{k})", times_sigma, minus_q
 
     return matrix_report(f"specht-kernel n={n} N={N} k={k}", comparisons(), n, N)
 
 
 def check_inverse(n: int, N: int, x: Fraction) -> CheckReport:
-    """At q = x != 0, rho(sigma_i) * x^{-1}(rho(sigma_i) + (x - 1) I) = I."""
+    """At q = x != 0, sigma_i^{-1} = x^{-1}(sigma_i + x - 1): the identity
+    rho(sigma_i (sigma_i + q - 1)) = q I in Z[q], both sides pushed and
+    compared at q = x."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("q = 0 is not invertible")
+    _validate_sizes(n, N)
+    if n < 2:
+        raise ValueError(f"inverse check needs n >= 2, got {n}")
+    one = BraidWord(n)
 
-    def compare(i, m, ident):
-        m, ident = m.eval_at(x), ident.eval_at(x)
-        return f"sigma_{i} sigma_{i}^-1", m @ (m + ident.scale(x - 1)).scale(1 / x), ident
+    def relation(i):
+        sigma = BraidWord(n, (i,))
+        factors = (HeckeElement(n, ((sigma, ONE),)), HeckeElement(n, ((sigma, ONE), (one, Q - 1))))
+        return f"sigma_{i} sigma_{i}^-1", HeckeProduct(n, factors), HeckeElement(n, ((one, Q),))
 
-    comparisons = _each_generator(n, N, "inverse check", compare)
-    return matrix_report(f"inverse-formula n={n} N={N} q={x}", comparisons, n, N)
+    comparisons = pushed_pairs([relation(i) for i in range(1, n)], lambda xs: rho_batch(xs, n, N))
+    at_x = ((label, left.eval_at(x), right.eval_at(x)) for label, left, right in comparisons)
+    return matrix_report(f"inverse-formula n={n} N={N} q={x}", at_x, n, N)
 
 
 STOCHASTIC_WORDS = 100

@@ -5,7 +5,9 @@ q-combinatorics of the cabled closed form as first written, with q-factorials
 and powers of 1 - q, a generator matrix built state by state and one read
 off ``rho_matrix``, the matrix of a product of combinations of words by a
 sweep over the suffixes of their words, the entries of a matrix in output
-order, and the column-sum check on decoded polynomials.
+order, the column-sum check on decoded polynomials, and the ``Matrix``
+arithmetic that only the tests compute: the identity, a scalar multiple and
+a difference.
 
 ``permutation_of`` returns w with w(i) = final position of the lane that
 enters at position i, as a 1-based tuple of images; this is the convention of
@@ -17,7 +19,7 @@ import functools
 import itertools
 
 from braidbowl.cabled import gauss_binom
-from braidbowl.matrix import Matrix
+from braidbowl.matrix import Matrix, apply
 from braidbowl.braid import BraidWord, HeckeElement, minimal_braid
 from braidbowl.multiball import index_state, rho_matrix, state_index
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, ZERO, QPoly, poly_sum
@@ -144,6 +146,26 @@ def generator_by_states(i, n, cap, fall):
     return Matrix((cap + 1) ** n, cols)
 
 
+def identity(dim):
+    """The dim x dim identity matrix over Z[q]."""
+    return Matrix(dim, {j: {j: ONE} for j in range(dim)})
+
+
+def scale(m, scalar):
+    """scalar * m, the zero matrix for a zero scalar."""
+    if not scalar:
+        return Matrix(m.dim)
+    return Matrix(m.dim, {j: {i: scalar * v for i, v in col.items()} for j, col in m.cols.items()})
+
+
+def difference(a, b):
+    """a - b: one ``apply`` per column, with weights 1 and -1."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    pair = lambda j: {0: a.cols.get(j, {}), 1: b.cols.get(j, {})}
+    return Matrix(a.dim, {j: apply(pair(j), {0: 1, 1: -1}) for j in a.cols | b.cols})
+
+
 def suffix_sweep(factors, n, cap, fall):
     """The matrix of the product of ``factors``, each a list of (word,
     coefficient) terms on n strands, in QPoly matrices, by the push's design
@@ -157,7 +179,7 @@ def suffix_sweep(factors, n, cap, fall):
     total = None
     for terms in factors:
         words = {word.letters for word, _c in terms}
-        layer = {(): Matrix.identity(dim)}
+        layer = {(): identity(dim)}
         out = Matrix(dim)
         for length in range(max(map(len, words), default=-1) + 1):
             if length:
@@ -165,7 +187,7 @@ def suffix_sweep(factors, n, cap, fall):
                 layer = {s: layer[s[1:]] @ gen(s[0]) for s in suffixes}
             for word, c in terms:
                 if len(word) == length:
-                    out = out + layer[word.letters].scale(c)
+                    out = out + scale(layer[word.letters], c)
         total = out if total is None else out @ total
     return total
 

@@ -13,6 +13,7 @@ from oracles import (
     entries_sorted,
     falling_probability_by_factorials,
     gauss_by_inversions,
+    identity,
     power,
     q_factorial,
     qfact_by_inversions,
@@ -34,9 +35,8 @@ from braidbowl.cabled import (
     rho_cabled_matrix,
 )
 from braidbowl.cli import MAX_CABLE
-from braidbowl.matrix import Matrix
 from braidbowl.multiball import (
-    index_state, matrix_report, rho_matrix, state_index, word_pairs,
+    index_state, matrix_report, pushed_pairs, rho_matrix, state_index,
 )
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, poly_sum
 from braidbowl.report import MAX_FAILURES
@@ -80,7 +80,7 @@ class TestCabledMatrix:
         assert left == right
 
     def test_empty_word_identity(self):
-        assert rho_cabled_matrix(BraidWord(2), 3) == Matrix.identity(16)
+        assert rho_cabled_matrix(BraidWord(2), 3) == identity(16)
 
     def test_columns_sum_to_one(self):
         m = rho_cabled_matrix(BraidWord(3, (1, 2, 1, 1)), 2)
@@ -352,8 +352,8 @@ class TestFormulaChecks:
         assert report.checks == 3  # two adjacent pairs + far pair (1, 3)
 
     def test_cabled_mismatch_reports_failing_entry(self):
-        pairs = [(BraidWord(3, (1,)), BraidWord(3, (2,)))]
-        comparisons = word_pairs(pairs, lambda words: rho_cabled_batch(words, 3, 2))
+        pairs = [("1 vs 2", BraidWord(3, (1,)), BraidWord(3, (2,)))]
+        comparisons = pushed_pairs(pairs, lambda words: rho_cabled_batch(words, 3, 2))
         report = matrix_report("cabled negative control", comparisons, 3, 2)
         assert not report.passed and report.checks == 1
         assert report.failures[0].startswith("1 vs 2: u=[")

@@ -11,7 +11,7 @@ fail."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import suffix_sweep
+from oracles import scale, suffix_sweep
 
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, HeckeElement, HeckeProduct, specht_element, specht_half
@@ -53,7 +53,7 @@ def word_sum(terms, n, N):
     """sum_t c_t rho(w_t), word by word."""
     out = Matrix((N + 1) ** n)
     for word, c in terms:
-        out = out + rho_matrix(word, N).scale(c)
+        out = out + scale(rho_matrix(word, N), c)
     return out
 
 
@@ -178,11 +178,19 @@ def test_a_flipped_level_sign_fails(monkeypatch, level):
 
 
 def test_a_flipped_level_sign_fails_the_kernel(monkeypatch):
-    # The same fault at the first step of check_specht's push, the one level
-    # of x_1's first ladder 1 - sigma_1.  x_1's other ladders have epsilon 0,
-    # so its column sums stay 0, and the kernel comparison fails instead.
+    # The same fault at the first step of x_1's chain in check_specht's push,
+    # the deepest level of its last ladder, 1 - T_3(1 - T_2(1 - T_1)).  The
+    # push builds (1 - sigma_i) half_i for i = 3, 2 first, then
+    # (1 - sigma_1) half_1, which has x_1's factor lists, so x_1 is yielded
+    # from it.  x_1's other ladders have epsilon 0, so its column sums stay
+    # 0, and the kernel comparison fails instead.
     assert multiball.check_specht(4, 2, 1).passed
-    recorded_steps(monkeypatch, lambda k, c: -c if k == 1 else c)
+    one_minus = lambda i: HeckeElement(4, ((BraidWord(4), ONE), (BraidWord(4, (i,)), -ONE)))
+    halves = [HeckeProduct(4, (one_minus(i), *specht_half(4, 2, 1, i).factors)) for i in (3, 2)]
+    with monkeypatch.context() as m:
+        before = recorded_steps(m)
+        list(multiball.rho_batch(halves, 4, 2))
+    recorded_steps(monkeypatch, lambda k, c: -c if k == len(before) + 1 else c)
     report = multiball.check_specht(4, 2, 1)
     assert not report.passed
     assert report.failures[0].startswith("rho(x_1): ")

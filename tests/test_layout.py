@@ -8,6 +8,9 @@ Test-only helpers belong in ``tests/`` (see ``tests/oracles.py``).
 
 A ``_``-prefixed name is private to its module: no package module imports
 one from another.
+
+The checks compare pushed products, so no package module but ``matrix.py``
+multiplies matrices with ``@``.
 """
 
 import ast
@@ -67,3 +70,18 @@ def private_imports():
 def test_no_package_module_imports_a_private_name_from_another():
     found = private_imports()
     assert not found, f"private names imported across src/braidbowl modules: {found}"
+
+
+def matrix_products():
+    return [
+        f"{path.stem}:{node.lineno}"
+        for path in PACKAGE
+        if path.name != "matrix.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+
+
+def test_no_package_module_but_matrix_multiplies_matrices():
+    found = matrix_products()
+    assert not found, f"@ outside src/braidbowl/matrix.py: {found}"

@@ -1,5 +1,6 @@
-"""The sparse apply kernel and ``Matrix @``, ``+`` and ``-``, checked against
-dense triple-loop and entrywise oracles over both scalar rings; the contract
+"""The sparse apply kernel, ``Matrix @`` and ``+``, and the oracles'
+difference and scalar multiple, checked against dense triple-loop and
+entrywise oracles over both scalar rings; the contract
 that no matrix stores a zero entry, which the constructor does not enforce
 (it drops only empty columns) and every operation that can make a zero keeps;
 and the column-sum check that ``multiball.push_columns`` makes before it
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import difference, scale
 
 from braidbowl import multiball
 from braidbowl.braid import BraidWord, specht_element
@@ -18,7 +20,7 @@ from braidbowl.matrix import Matrix, TransitionMatrix, apply
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly
 
 # Small pools with additive inverses, so sums cancel to zero often.  ONE is the
-# shared constant that ``Matrix.identity`` stores, multiplied like any other
+# shared constant that ``oracles.identity`` stores, multiplied like any other
 # entry; 1 - q and 1 + q vanish at q = 1 and q = -1.  The zeros are drawn and
 # then dropped before the constructor, as every producer drops them.
 QPOLY_VALUES = [ONE, -ONE, Q, -Q, ONE_MINUS_Q, ONE + Q, QPoly()]
@@ -76,7 +78,7 @@ def test_matmul_matches_dense_product_over_fraction(pair):
 
 
 def check_sum_and_difference(a: Matrix, b: Matrix) -> None:
-    for got, combine in ((a + b, operator.add), (a - b, operator.sub)):
+    for got, combine in ((a + b, operator.add), (difference(a, b), operator.sub)):
         expected = {}
         for j in range(a.dim):
             for i in range(a.dim):
@@ -110,8 +112,8 @@ def test_apply_drops_cancelled_entries():
 @settings(max_examples=200, deadline=None)
 def test_difference_with_itself_stores_no_columns(pair):
     a, _ = pair
-    assert (a - a).cols == {}
-    assert a - a == Matrix(a.dim)
+    assert difference(a, a).cols == {}
+    assert difference(a, a) == Matrix(a.dim)
 
 
 def test_eval_at_a_root_drops_that_entry():
@@ -134,8 +136,8 @@ def test_constructor_keeps_a_column_by_reference_and_drops_an_empty_one():
 def test_no_result_stores_a_zero_entry_or_an_empty_column(drawn):
     (a, b), scalar = drawn
     zero = type(scalar)()  # QPoly() or Fraction(0)
-    assert a.scale(zero) == Matrix(a.dim)
-    results = [a + b, a - b, a @ b, a.scale(scalar), a.scale(zero)]
+    assert scale(a, zero) == Matrix(a.dim)
+    results = [a + b, difference(a, b), a @ b, scale(a, scalar), scale(a, zero)]
     if isinstance(scalar, QPoly):
         results += [a.eval_at(Fraction(1)), a.eval_at(Fraction(-1))]
     assert all(map(stores_no_zero, results))

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import column_sum_failure, entries_sorted, generator_matrix
+from oracles import (
+    column_sum_failure,
+    difference,
+    entries_sorted,
+    generator_by_states,
+    generator_matrix,
+    identity,
+    scale,
+)
 
 from braidbowl import multiball
 from braidbowl.braid import BraidWord, HeckeElement, parse_word, specht_element
@@ -100,7 +108,7 @@ class TestGoldenColumns:
 
     def test_empty_word_is_identity(self):
         m = rho_matrix(BraidWord(3), 1)
-        assert m == Matrix.identity(8)
+        assert m == identity(8)
 
     def test_word_equals_reversed_generator_product(self):
         # matrix of w1 w2 is M(w2) @ M(w1)
@@ -117,7 +125,7 @@ class TestGoldenColumns:
 class TestRhoElement:
     def test_identity_element(self):
         x = HeckeElement(3, ((BraidWord(3), ONE),))
-        assert rho_element(x, 1) == Matrix.identity(8)
+        assert rho_element(x, 1) == identity(8)
 
     def test_specht_element_in_kernel(self):
         x = specht_element(3, 1, 1)
@@ -231,6 +239,33 @@ def test_matrix_check_fails_when_the_fall_drops_one_ball(monkeypatch, check, arg
     assert labels[0] == failing[0] and set(failing) <= set(labels)
 
 
+@pytest.mark.parametrize("n, N", [(3, 2), (4, 2)])
+def test_pushed_hecke_and_inverse_sides_match_the_matrix_oracle(monkeypatch, n, N):
+    # Under drop_one_ball the relations fail, so the pushed sides are neither
+    # 0 nor q I by the relation; they must still equal the QPoly products of
+    # the generator matrix built state by state, m = rho(sigma_i).
+    batches, original = [], multiball.rho_batch
+
+    def spy(xs, n, N):
+        batches.append(list(original(xs, n, N)))
+        return iter(batches[-1])
+
+    monkeypatch.setattr(multiball, "apply_generator", drop_one_ball)
+    monkeypatch.setattr(multiball, "rho_batch", spy)
+    assert not check_hecke(n, N).passed
+    assert not check_inverse(n, N, Fraction(2)).passed
+    hecke, inverse = batches
+    dim = (N + 1) ** n
+    ident = identity(dim)
+    for i in range(1, n):
+        m = generator_by_states(i, n, N, drop_one_ball)
+        assert hecke[2 * i - 2 : 2 * i] == [
+            (scale(ident, Q) + m) @ difference(ident, m), Matrix(dim)
+        ]
+        assert inverse[2 * i - 2 : 2 * i] == [m @ (m + scale(ident, Q - 1)), scale(ident, Q)]
+    assert len(hecke) == len(inverse) == 2 * (n - 1)
+
+
 def test_far_commutativity_fails_when_one_word_is_tampered(monkeypatch):
     # No fault of the fall breaks far commutativity: far generators move
     # disjoint digits.  So the matrix of one word is changed instead, as the
@@ -337,8 +372,8 @@ class TestProperties:
         N = 2
         m = Matrix(9, generator_matrix(1, 2, N).cols)
         one_ball = [state_index(u, N) for u in [(1, 0), (0, 1)]]
-        ident = Matrix.identity(9)
-        product = (m - ident) @ (m + ident.scale(Q))
+        ident = identity(9)
+        product = difference(m, ident) @ (m + scale(ident, Q))
         for j in one_ball:
             for i in one_ball:
                 assert i not in product.cols.get(j, {})

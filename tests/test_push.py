@@ -16,7 +16,14 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import column_sum_failure, entries_sorted, generator_by_states, generator_matrix
+from oracles import (
+    column_sum_failure,
+    entries_sorted,
+    generator_by_states,
+    generator_matrix,
+    identity,
+    scale,
+)
 
 from braidbowl import cabled, multiball
 from braidbowl.braid import BraidWord, HeckeElement, HeckeProduct, specht_element, specht_half
@@ -177,7 +184,7 @@ def scaled_sum(n, terms, N, matrix_of=rho_matrix):
     ``+`` per term, in the order given (repeated words included)."""
     out = Matrix((N + 1) ** n)
     for word, coeff in terms:
-        out = out + matrix_of(word, N).scale(coeff)
+        out = out + scale(matrix_of(word, N), coeff)
     return out
 
 
@@ -523,8 +530,8 @@ def test_a_push_without_letters_calls_no_rule(monkeypatch, n, N):
     # On one strand there is no letter, so no generator table, in either model.
     calls = recorded_calls(monkeypatch, multiball, "apply_generator")
     cabled_calls = recorded_calls(monkeypatch, cabled, "apply_generator_cabled")
-    assert rho_matrix(BraidWord(n), N) == Matrix.identity((N + 1) ** n)
-    assert rho_cabled_matrix(BraidWord(n), N) == Matrix.identity((N + 1) ** n)
+    assert rho_matrix(BraidWord(n), N) == identity((N + 1) ** n)
+    assert rho_cabled_matrix(BraidWord(n), N) == identity((N + 1) ** n)
     assert calls == cabled_calls == []
 
 
@@ -631,17 +638,21 @@ def test_a_product_equal_to_the_one_before_it_costs_nothing(monkeypatch):
     assert twice == [alone, alone]
 
 
-def test_a_repeat_not_next_to_it_and_a_reversed_product_are_each_built(monkeypatch):
+def test_a_reversed_product_is_built_in_full_and_a_shared_first_factor_once(monkeypatch):
     (fg,), fg_cost = push_cost(monkeypatch, [FG])
     (gf,), gf_cost = push_cost(monkeypatch, [GF])
     (g,), g_cost = push_cost(monkeypatch, [REPEAT_G])
-    assert fg != gf
+    # G and F cost 2 steps and 4 applies each, and chaining them 7 applies,
+    # one per root column.
+    assert fg != gf and fg_cost == gf_cost == (4, 15) and g_cost == (2, 4)
     matrices, cost = push_cost(monkeypatch, [FG, GF])
     assert matrices == [fg, gf]
-    assert cost == tuple(map(sum, zip(fg_cost, gf_cost)))
+    assert cost == (8, 30)
+    # Read from its end, FG is G, then F.  REPEAT_G is FG's first atom, so
+    # it is yielded from FG's kept partial, and the second FG starts from it.
     matrices, cost = push_cost(monkeypatch, [FG, REPEAT_G, FG])
     assert matrices == [fg, g, fg]
-    assert cost == tuple(map(sum, zip(fg_cost, g_cost, fg_cost)))
+    assert cost == (6, 26) == tuple(2 * a - b for a, b in zip(fg_cost, g_cost))
 
 
 def model_fall(model, cap):
@@ -707,6 +718,29 @@ def test_sharing_stops_at_the_first_factor_that_is_not_a_word(monkeypatch):
         assert cost[0] == one_cost[0] + two_cost[0] - saved
 
 
+def test_check_specht_steps_the_ladders_of_x_k_once(monkeypatch):
+    # check_specht(6, 2, 1) pushes (1 - sigma_i) half_i for i = 3, 2, 1, then
+    # x_1, then sigma_j x_1 for j = 1, 2, 3 and (-q) x_1.  (1 - sigma_1) half_1
+    # has x_1's factor lists, and every product after it starts with x_1's
+    # ladders, so those are stepped once, and each sigma_j adds one step.
+    n, N, k = 6, 2, 1
+
+    def steps_of(run):
+        with monkeypatch.context() as m:
+            calls = recorded_calls(m, multiball, "step")
+            run()
+        return len(calls)
+
+    x = specht_element(n, N, k)
+    one_minus = lambda i: HeckeElement(n, ((BraidWord(n), ONE), (BraidWord(n, (i,)), -ONE)))
+    factored = [HeckeProduct(n, (one_minus(i), *specht_half(n, N, k, i).factors)) for i in (3, 2)]
+    alone = steps_of(lambda: list(multiball.rho_batch([x], n, N)))
+    # A ladder of m words costs m - 1 steps.
+    assert alone == sum(len(ladder.terms) - 1 for ladder in x.factors) == 6
+    others = steps_of(lambda: list(multiball.rho_batch(factored, n, N)))
+    assert steps_of(lambda: multiball.check_specht(n, N, k)) == alone + (N + 1) + others
+
+
 @pytest.mark.parametrize("model", ["single-lane", "cabled"])
 def test_a_zero_factor_followed_by_letters_yields_zero(model):
     # Read from its end, the product w Z is Z, whose terms cancel, and then
@@ -736,7 +770,7 @@ def test_a_fall_that_breaks_column_sums_fails_before_its_matrix_is_yielded(monke
     with pytest.raises(ValueError, match=rf"^column {column} sums to 2, expected 1$"):
         for m in multiball.rho_batch(words, 3, 1):
             yielded.append(m)
-    assert yielded == [Matrix.identity(8)]
+    assert yielded == [identity(8)]
 
 
 def test_a_batch_checks_each_product_against_its_own_epsilon():

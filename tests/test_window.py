@@ -6,13 +6,21 @@ x_k dies, and at N' = N + 1, where it does not."""
 import math
 
 import pytest
-from oracles import direct_sum, inversions_perm, permutation_of, window_permutations
+from oracles import (
+    difference,
+    direct_sum,
+    identity,
+    inversions_perm,
+    permutation_of,
+    scale,
+    window_permutations,
+)
 
 from braidbowl import braid, multiball
 from braidbowl.braid import BraidWord, HeckeElement, HeckeProduct, specht_element, specht_half
 from braidbowl.matrix import Matrix
 from braidbowl.multiball import check_specht, rho_element, rho_matrix
-from braidbowl.qpoly import ONE
+from braidbowl.qpoly import ONE, Q
 
 # Every window (n, N, k) with N + 2 <= 5 strands and n <= 6.
 WINDOWS = [
@@ -65,26 +73,41 @@ def test_factored_push_matches_the_push_of_the_direct_sum(n, N, k, extra):
 
 @pytest.mark.parametrize("n, N, k", [(4, 2, 1), (5, 2, 1), (6, 2, 1)])
 def test_the_pushed_factorization_matches_the_matrix_product(monkeypatch, n, N, k):
-    # check_specht pushes (1 - sigma_i) half_i for each i in one batch with
-    # x_k and the sigma_i.  Its batch, pushed again at N' = N and at
-    # N' = N + 1, where nothing is killed, must match the QPoly product
-    # rho(half_i) @ (I - rho(sigma_i)) that it replaced.
+    # check_specht pushes, in one batch, (1 - sigma_i) half_i for i from
+    # k + N down to k, then x_k, then sigma_i x_k for each i and (-q) x_k.
+    # Its batch, pushed again at N' = N and at N' = N + 1, where nothing is
+    # killed, must match the QPoly products that it replaced:
+    # rho(half_i) @ (I - rho(sigma_i)), rho(x_k) @ rho(sigma_i) and
+    # -q rho(x_k).
     batches, original = [], multiball.rho_batch
     spy = lambda xs, n, N: batches.append(list(xs)) or original(xs, n, N)
     monkeypatch.setattr(multiball, "rho_batch", spy)
     assert check_specht(n, N, k).passed
     (xs,) = batches
     window = range(k, k + N + 1)
-    assert xs[0] == specht_element(n, N, k) and xs[N + 2 :] == [BraidWord(n, (i,)) for i in window]
+    x = specht_element(n, N, k)
+    one_minus = lambda i: HeckeElement(n, ((BraidWord(n), ONE), (BraidWord(n, (i,)), -ONE)))
+    times = lambda term: HeckeProduct(n, (HeckeElement(n, (term,)), *x.factors))
+    assert xs == [
+        *(HeckeProduct(n, (one_minus(i), *specht_half(n, N, k, i).factors)) for i in window[::-1]),
+        x,
+        *(times((BraidWord(n, (i,)), ONE)) for i in window),
+        times((BraidWord(n), -Q)),
+    ]
     for extra in (0, 1):
         pushed = list(original(xs, n, N + extra))
-        ident = Matrix.identity(pushed[0].dim)
-        for i, product, gen in zip(window, pushed[1 : N + 2], pushed[N + 2 :]):
-            assert gen == rho_matrix(BraidWord(n, (i,)), N + extra)
+        rho_x = pushed[N + 1]
+        ident = identity(rho_x.dim)
+        for i, product, times_sigma in zip(window, pushed[N::-1], pushed[N + 2 : -1]):
+            gen = rho_matrix(BraidWord(n, (i,)), N + extra)
             half = rho_element(specht_half(n, N, k, i), N + extra)
-            expected = half @ (ident - gen)
-            assert product == expected == pushed[0]
+            expected = half @ difference(ident, gen)
+            assert product == expected == rho_x
             assert (expected == Matrix(expected.dim)) == (not extra)
+            if extra:
+                assert times_sigma == rho_x @ gen
+        if extra:
+            assert pushed[-1] == scale(rho_x, -Q) != Matrix(rho_x.dim)
 
 
 def test_a_flipped_ladder_term_fails_the_kernel_first(monkeypatch):
