@@ -20,6 +20,7 @@ bytes of ``json.dumps`` of the whole matrix or fall distribution.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -200,7 +201,10 @@ def suite_calls(args) -> list[tuple[Callable[..., CheckReport], tuple]]:
     if suite in ("stochastic", "all"):
         calls.append((multiball.check_stochastic, (n, N)))
     if suite == "all":
-        calls += [(multiball.check_inverse, (n, N, x))
+        # One push of the inverse products, made when the first check runs,
+        # serves all three q values.
+        sides = functools.cache(lambda: multiball.inverse_sides(n, N))
+        calls += [(multiball.check_inverse, (n, N, x, sides))
                   for x in (Fraction(1, 2), Fraction(2), Fraction(-1))]
     return calls
 

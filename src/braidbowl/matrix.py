@@ -7,12 +7,17 @@ where it is made (``apply`` a cancelled sum, ``eval_at`` a root).  Scalars
 only need +, * (by each other and by an int), and truthiness, which both
 QPoly and Fraction provide.  ``apply`` is the one sparse accumulation loop:
 it runs on the packed ints of ``multiball.push_columns``, and it is the body
-of ``@`` and ``+``, which only the tests compute.
+of ``@`` and ``+``, which only the tests compute.  A ``TransitionMatrix``
+keeps the push's packed ints and decodes them into QPoly entries only when
+``cols`` is first read; it is the one reader of ``qpoly.unpack``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+
+from .qpoly import unpack
 
 Column = dict[int, object]
 
@@ -96,6 +101,32 @@ class Matrix:
 
 
 class TransitionMatrix(Matrix):
-    """A matrix from ``multiball.push_columns``, which has checked that its
-    columns sum to the epsilon of its product; ``perfbench/layertrace.py`` wraps its
-    constructor, so the name stays until the benchmark is revised."""
+    """A product from ``multiball.push_columns``, which has checked that its
+    columns sum to its epsilon, kept packed: ``packed`` maps each root state
+    to its nonempty column of ints (``qpoly.pack`` at digit width ``width``),
+    and ``copies`` maps every other state j to (r, rows), column j being
+    root r's with row t moved to rows[t].  ``cols`` decodes on first read,
+    each distinct entry into one QPoly that copies share.  The matrices of
+    one push share ``copies`` and ``width``; ``pack`` is injective at one
+    width and a copy is fixed by its root, so ``==`` compares their packed
+    roots, and any other pair their ``cols``.  ``perfbench/layertrace.py``
+    wraps the constructor, so the name stays until the benchmark is revised."""
+
+    def __init__(self, dim: int, packed: dict[int, dict[int, int]], copies: dict, width: int):
+        self.dim, self.copies, self.width = dim, copies, width
+        self.packed = {j: col for j, col in packed.items() if col}
+
+    @cached_property
+    def cols(self) -> dict[int, Column]:
+        values = set().union(*map(dict.values, self.packed.values()))
+        decoded = {x: unpack(x, self.width) for x in values}
+        cols = {j: {t: decoded[x] for t, x in col.items()} for j, col in self.packed.items()}
+        for j, (r, rows) in self.copies.items():
+            if r in cols:
+                cols[j] = {rows[t]: v for t, v in cols[r].items()}
+        return cols
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TransitionMatrix) and other.copies is self.copies:
+            return self.packed == other.packed
+        return super().__eq__(other)

@@ -21,7 +21,8 @@ per letter, so each partial is the matrix of a suffix.  rho is linear and
 multiplicative, so the push also yields, in order, the matrices of a batch
 of products of sums of words (``rho_batch``), where a product that ends
 with the letters or factors of the one before it starts from their partial;
-``rho_matrix`` and ``rho_element`` are batches of one.
+``rho_matrix`` and ``rho_element`` are batches of one.  Each matrix stays
+packed until its ``cols`` are read (``matrix.TransitionMatrix``).
 
 A crossing here compares only its two counts, so rho commutes with every
 order-preserving relabelling of count values, and the block of a count
@@ -40,10 +41,12 @@ labelled (left, right) pairs in one batch, and ``check_specht`` pushes its
 window products in one batch ordered so that x_k's ladders are stepped
 once.  The checks yield their (label, got, expected) comparisons in order,
 and ``matrix_report`` records them: a failure names the first entry where
-got and expected differ.  ``check_stochastic`` checks columns, not
-matrices, and records its own in one pass in push order, one test per
-invariant, over its 100 random words pushed in one batch (sorted by their
-reversed letters, so that words ending alike follow each other).
+got and expected differ.  Sides from one push compare packed, so a passing
+check decodes nothing but what the inverse check evaluates.
+``check_stochastic`` checks packed columns, not matrices, and records its
+own in one pass in push order, one test per invariant, over its 100 random
+words pushed in one batch (sorted by their reversed letters, so that words
+ending alike follow each other).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .braid import BraidWord, HeckeElement, HeckeProduct, specht_element, specht_half
 from .matrix import Matrix, TransitionMatrix, apply
-from .qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, digit_width, pack, poly_sum, unpack
+from .qpoly import ONE, ONE_MINUS_Q, Q, ZERO, QPoly, digit_width, pack, poly_sum
 from .report import CheckReport
 
 BallState = tuple[int, ...]
@@ -160,8 +163,9 @@ def push_columns(
     crossing keeps the count multiset, so a root's rows are roots.  Every
     other state is a copy, its root with values moved up by such a map: its
     column is the root's with the rows moved by that map, which is monotone
-    in index, and shares the root's decoded entries.  The orbit tables visit
-    only the value sets of copies, of at most min(n, radix - 1) values.
+    in index, and is not stored; decoded, it shares the root's entries.  The
+    orbit tables visit only the value sets of copies, of at most
+    min(n, radix - 1) values.
     Otherwise every state is its own root.
 
     Then the push takes the products one at a time.  A product whose factor
@@ -200,9 +204,8 @@ def push_columns(
     2^(B-1), so the column-sum check on the packed ints is exact too.
     Branches of weight 0 are skipped and ``apply`` and ``step`` drop
     cancelled sums, so no packed entry is 0.
-    Each distinct entry of a product is decoded once into a shared QPoly;
-    the returned columns are distinct dicts, the roots' in index order, then
-    the copies'.
+    Each product is yielded packed, as a ``TransitionMatrix`` of its root
+    columns, with the copies table and B that the call's matrices share.
     """
     dim = radix**n
     terms = [t for factors in products for factor in factors for t in factor]
@@ -321,19 +324,13 @@ def push_columns(
                     total = {j: apply(total, col) for j, col in build(atom).items()}
                 if d < keep:
                     kept.append(total)
-            if total is None:
-                total = identity()
+            matrix = TransitionMatrix(dim, identity() if total is None else total, copies, width)
             epsilon = math.prod((poly_sum(c for _w, c in f) for f in factors), start=ONE)
             one = pack(epsilon, width)
             for j in roots:
-                got = sum(total.get(j, {}).values())
-                if got != one:
-                    raise ValueError(f"column {j} sums to {unpack(got, width)}, expected {epsilon}")
-            decoded = {x: unpack(x, width) for x in set().union(*map(dict.values, total.values()))}
-            cols = {j: {t: decoded[x] for t, x in col.items()} for j, col in total.items()}
-            for j, (r, rows) in copies.items():
-                cols[j] = {rows[t]: v for t, v in cols[r].items()}
-            matrix = TransitionMatrix(dim, cols)
+                if sum(matrix.packed.get(j, {}).values()) != one:
+                    got = poly_sum(matrix.cols.get(j, {}).values())
+                    raise ValueError(f"column {j} sums to {got}, expected {epsilon}")
             previous = factors
         yield matrix
 
@@ -478,7 +475,8 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     lists of x_k itself, so the push takes (1 - sigma_i) half_i for i from
     k + N down to k, then x_k, which it yields again for nothing, then
     sigma_j x_k for each j and (-q) x_k, which all start from x_k's
-    partials: x_k's ladders are stepped once.
+    partials: x_k's ladders are stepped once.  Last comes 0, which rho(x_k)
+    is compared with, so that every comparison is within the push.
 
     The eigen-identity follows from the kernel comparison: once rho(x_k) = 0
     passes, each side is zero, so it tells something only when that fails.
@@ -493,25 +491,21 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     factored = [HeckeProduct(n, (one_minus(i), *specht_half(n, N, k, i).factors)) for i in window]
     times = lambda term: HeckeProduct(n, (HeckeElement(n, (term,)), *x.factors))
     xs = [*factored[::-1], x, *(times((word(i), ONE)) for i in window), times((one, -Q))]
-    matrices = list(rho_batch(xs, n, N))
-    rho_x, minus_q = matrices[N + 1], matrices[-1]
+    matrices = list(rho_batch([*xs, HeckeElement(n)], n, N))
+    rho_x, minus_q, zero = matrices[N + 1], matrices[-2], matrices[-1]
 
     def comparisons():
-        yield f"rho(x_{k})", rho_x, Matrix(rho_x.dim)
-        for i, product, times_sigma in zip(window, matrices[N::-1], matrices[N + 2 : -1]):
+        yield f"rho(x_{k})", rho_x, zero
+        for i, product, times_sigma in zip(window, matrices[N::-1], matrices[N + 2 : -2]):
             yield f"rho(x_{k}) = rho(half_{i})(I - sigma_{i})", rho_x, product
             yield f"rho(x_{k}) sigma_{i} = -q rho(x_{k})", times_sigma, minus_q
 
     return matrix_report(f"specht-kernel n={n} N={N} k={k}", comparisons(), n, N)
 
 
-def check_inverse(n: int, N: int, x: Fraction) -> CheckReport:
-    """At q = x != 0, sigma_i^{-1} = x^{-1}(sigma_i + x - 1): the identity
-    rho(sigma_i (sigma_i + q - 1)) = q I in Z[q], both sides pushed and
-    compared at q = x."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("q = 0 is not invertible")
+def inverse_sides(n: int, N: int) -> list[Comparison]:
+    """(label, rho(sigma_i (sigma_i + q - 1)), rho(q 1)) for every generator,
+    all pushed in one batch; the two sides are equal in Z[q]."""
     _validate_sizes(n, N)
     if n < 2:
         raise ValueError(f"inverse check needs n >= 2, got {n}")
@@ -522,7 +516,18 @@ def check_inverse(n: int, N: int, x: Fraction) -> CheckReport:
         factors = (HeckeElement(n, ((sigma, ONE),)), HeckeElement(n, ((sigma, ONE), (one, Q - 1))))
         return f"sigma_{i} sigma_{i}^-1", HeckeProduct(n, factors), HeckeElement(n, ((one, Q),))
 
-    comparisons = pushed_pairs([relation(i) for i in range(1, n)], lambda xs: rho_batch(xs, n, N))
+    return list(pushed_pairs([relation(i) for i in range(1, n)], lambda xs: rho_batch(xs, n, N)))
+
+
+def check_inverse(n: int, N: int, x: Fraction, sides: Callable | None = None) -> CheckReport:
+    """At q = x != 0, sigma_i^{-1} = x^{-1}(sigma_i + x - 1): the identity
+    rho(sigma_i (sigma_i + q - 1)) = q I in Z[q], both sides pushed by
+    ``inverse_sides``, or returned by ``sides()`` so that checks at several
+    q share one push, and compared at q = x."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("q = 0 is not invertible")
+    comparisons = inverse_sides(n, N) if sides is None else sides()
     at_x = ((label, left.eval_at(x), right.eval_at(x)) for label, left, right in comparisons)
     return matrix_report(f"inverse-formula n={n} N={N} q={x}", at_x, n, N)
 
@@ -542,7 +547,9 @@ def check_stochastic(n: int, N: int) -> CheckReport:
     sorted by their reversed letters and pushed in one call, so the push
     steps each distinct suffix once.  The check is one pass in push order,
     one test per invariant: a column's rows are states of its own count
-    multiset, and a word's distinct entries have degree at most its length.
+    multiset, and a word's entries have degree at most its length.  Both
+    read the packed columns, a copy's rows through its ``rows`` map, and
+    decode only to describe a failure.
     """
     import random
 
@@ -561,24 +568,27 @@ def check_stochastic(n: int, N: int) -> CheckReport:
     words.sort(key=lambda w: w.letters[::-1])
     for word, m in zip(words, rho_batch(words, n, N)):
         for j, key in enumerate(multisets):
-            col = m.cols[j]
-            ok = col.keys() <= blocks[key]
+            r, rows = m.copies.get(j, (j, {}))
+            out = [rows.get(t, t) for t in m.packed.get(r, ())]
+            ok = blocks[key].issuperset(out)
             report.record(
                 ok,
                 str if ok else lambda: (
                     f"word '{word}': count multiset changes "
                     f"{fmt_state(index_state(j, n, N))} -> "
-                    f"{fmt_state(index_state(next(i for i in col if i not in blocks[key]), n, N))}"
+                    f"{fmt_state(index_state(next(i for i in out if i not in blocks[key]), n, N))}"
                 ),
             )
-        entries = {id(v): v for col in m.cols.values() for v in col.values()}.values()
-        high = next((v for v in entries if v.degree > len(word)), None)
+        # An entry of d digits has degree d - 1 = bit_length // width (``unpack``).
+        high = lambda x: x.bit_length() // m.width > len(word)
+        entries = set().union(*map(dict.values, m.packed.values()))
         report.record(
-            high is None,
+            not any(map(high, entries)),
             lambda: next(
                 f"word '{word}': entry u={fmt_state(index_state(j, n, N))} "
-                f"v={fmt_state(index_state(i, n, N))} is {v}, of degree above the word length"
-                for j, col in m.cols.items() for i, v in col.items() if v is high
+                f"v={fmt_state(index_state(i, n, N))} is {m.cols[j][i]}, "
+                "of degree above the word length"
+                for j, col in m.packed.items() for i, x in col.items() if high(x)
             ),
         )
     return report

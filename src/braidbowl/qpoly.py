@@ -48,11 +48,6 @@ class QPoly:
             raise ValueError("negative powers of q are not representable")
         return cls((0,) * power + (1,))
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -16,6 +16,8 @@ from braidbowl.braid import BraidWord, parse_word
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.cli import SUITES, build_parser, fraction_to_json, main, suite_calls
 from braidbowl.multiball import index_state, rho_matrix, state_index
+from braidbowl.qpoly import Q
+from test_multiball import drop_one_ball
 from test_push import words
 
 
@@ -486,6 +488,35 @@ def test_suite_calls_of_check_all_run_to_the_golden_reports_in_order(capsys):
     assert [check(*arguments).name for check, arguments in calls] == [
         r["name"] for r in json.loads(out)["reports"]
     ]
+
+
+def test_check_all_pushes_the_inverse_products_once_per_run(capsys, monkeypatch):
+    # The inverse products are the only ones with a term of coefficient q - 1;
+    # one push serves the checks at q = 1/2, 2 and -1, and a second run
+    # pushes them again, so a fall patched in between is seen.
+    batches, original = [], multiball.push_columns
+
+    def spy(products, *args):
+        batches.append(products)
+        return original(products, *args)
+
+    monkeypatch.setattr(multiball, "push_columns", spy)
+    inverse = lambda: sum(
+        any(c == Q - 1 for factors in products for factor in factors for _w, c in factor)
+        for products in batches
+    )
+    argv = ["check", "all", "--n", "4", "--max-balls", "2", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    reports = [r for r in json.loads(out)["reports"] if r["name"].startswith("inverse-formula")]
+    assert code == 0 and inverse() == 1
+    assert [(r["name"], r["checks"]) for r in reports] == [
+        (f"inverse-formula n=4 N=2 q={x}", 3) for x in ("1/2", "2", "-1")
+    ]
+    monkeypatch.setattr(multiball, "apply_generator", drop_one_ball)
+    code, out, _ = run(capsys, *argv)
+    reports = [r for r in json.loads(out)["reports"] if r["name"].startswith("inverse-formula")]
+    assert code == 1 and inverse() == 2
+    assert len(reports) == 3 and not any(r["passed"] for r in reports)
 
 
 def test_check_all_runs_k_only_where_it_is_admissible(capsys):

@@ -10,7 +10,9 @@ A ``_``-prefixed name is private to its module: no package module imports
 one from another.
 
 The checks compare pushed products, so no package module but ``matrix.py``
-multiplies matrices with ``@``.
+multiplies matrices with ``@``.  A pushed matrix stays packed until its
+``cols`` are read, so ``TransitionMatrix.cols`` is the one decode: nothing
+else in the package reads ``unpack``.
 """
 
 import ast
@@ -85,3 +87,31 @@ def matrix_products():
 def test_no_package_module_but_matrix_multiplies_matrices():
     found = matrix_products()
     assert not found, f"@ outside src/braidbowl/matrix.py: {found}"
+
+
+def unpack_reads():
+    """Reads of ``unpack`` in the package, as (module:line, in the decode)."""
+    found = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), str(path))
+        decode = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "TransitionMatrix"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "cols"
+            for node in ast.walk(fn)
+        }
+        found += [
+            (f"{path.stem}:{node.lineno}", id(node) in decode)
+            for node in ast.walk(tree)
+            if getattr(node, "id", None) == "unpack" or getattr(node, "attr", None) == "unpack"
+        ]
+    return found
+
+
+def test_only_the_transition_matrix_decode_reads_unpack():
+    reads = unpack_reads()
+    assert any(inside for _line, inside in reads), "TransitionMatrix.cols no longer decodes"
+    outside = [line for line, inside in reads if not inside]
+    assert not outside, f"unpack read outside TransitionMatrix.cols: {outside}"

@@ -35,7 +35,7 @@ from braidbowl.multiball import (
     rho_matrix,
     state_index,
 )
-from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly
+from braidbowl.qpoly import ONE, ONE_MINUS_Q, Q, QPoly, pack, unpack
 
 
 def column_states(m, u, n, N):
@@ -385,17 +385,20 @@ def test_stochastic_check_runs():
 
 
 def tampered_stochastic_report(monkeypatch, edit):
-    """``check_stochastic(3, 2)`` with ``edit(word, column)`` applied to the
-    column of state (2,0,0) of every matrix that the check's one batched push
-    yields; the edits keep its sum 1."""
+    """``check_stochastic(3, 2)`` with ``edit(word, column, width)`` applied
+    to the packed column of state (2,0,0) of every matrix that the check's
+    one batched push yields; the edits keep its sum 1.  (2,0,0) is a copy of
+    (1,0,0), so the tampered matrix holds its column as a root of its own."""
     original = multiball.rho_batch
     j = state_index((2, 0, 0), 2)
 
     def rho_batch_tampered(words, n, N):
         for word, m in zip(words, original(words, n, N)):
-            cols = {k: dict(col) for k, col in m.cols.items()}
-            edit(word, cols[j])
-            yield TransitionMatrix(m.dim, cols)
+            packed, copies = dict(m.packed), dict(m.copies)
+            r, rows = copies.pop(j)
+            packed[j] = {rows[t]: x for t, x in m.packed[r].items()}
+            edit(word, packed[j], m.width)
+            yield TransitionMatrix(m.dim, packed, copies, m.width)
 
     monkeypatch.setattr(multiball, "rho_batch", rho_batch_tampered)
     return check_stochastic(3, 2)
@@ -405,7 +408,7 @@ def test_stochastic_check_fails_on_an_entry_that_changes_the_count_multiset(monk
     # (1,1,0) has the ball total of (2,0,0) but another multiset.
     target = state_index((1, 1, 0), 2)
 
-    def move_one_entry(word, col):
+    def move_one_entry(word, col, _width):
         col[target] = col.pop(next(iter(col)))
 
     report = tampered_stochastic_report(monkeypatch, move_one_entry)
@@ -460,7 +463,7 @@ def test_stochastic_failures_are_listed_in_push_order(monkeypatch):
     )
     target = state_index((1, 1, 0), 2)
 
-    def move_one_entry(word, col):
+    def move_one_entry(word, col, _width):
         if word in (first, second):
             col[target] = col.pop(next(iter(col)))
 
@@ -480,12 +483,12 @@ def test_stochastic_word_failing_both_invariants_gets_one_line_for_each(monkeypa
     same, target = state_index((2, 0, 0), 2), state_index((1, 1, 0), 2)
     kept = []
 
-    def move_high_weight(w, col):
+    def move_high_weight(w, col, width):
         if w == word:
-            high = QPoly.monomial(len(w.letters) + 1)
-            col[same] = col.get(same, QPoly()) - high
+            high = pack(QPoly.monomial(len(w.letters) + 1), width)
+            col[same] = col.get(same, 0) - high
             col[target] = high
-            kept.append(col[same])
+            kept.append(unpack(col[same], width))
 
     report = tampered_stochastic_report(monkeypatch, move_high_weight)
     assert report.checks == 2800
@@ -495,13 +498,46 @@ def test_stochastic_word_failing_both_invariants_gets_one_line_for_each(monkeypa
     ]
 
 
+@pytest.mark.parametrize("above", [0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("top, lower", [(1, 0), ("large", 0), (1, "large"), ("large", "large")])
+def test_stochastic_degree_bound_reads_the_digit_count_of_packed_entries(
+    monkeypatch, above, sign, top, lower
+):
+    # sign (top q^d - lower q^(d-1)), d = len + above, moved from row (0,2,0)
+    # to row (2,0,0) of the column of (2,0,0) in every word; "large" is
+    # 2^(width-2), half a digit's range.  The check reads a packed entry's
+    # degree as bit_length // width.  A negative top digit, a large one, or
+    # a lower digit of the other sign, which leaves a bit length of exactly
+    # width d, must not change that.  The decoded entries are the oracle:
+    # the bound fails exactly where one has degree above the length.
+    same, other = state_index((2, 0, 0), 2), state_index((0, 2, 0), 2)
+    excess = []
+
+    def shift(word, col, width):
+        digit = lambda c: 1 << (width - 2) if c == "large" else c
+        d = len(word.letters) + above
+        moved = QPoly.monomial(d) * digit(top) - (QPoly.monomial(d - 1) * digit(lower) if d else 0)
+        col[same] = col.get(same, 0) + pack(moved * sign, width)
+        col[other] = col.get(other, 0) - pack(moved * sign, width)
+        degree = max(len(unpack(x, width).coeffs) - 1 for x in col.values())
+        excess.append(degree - len(word.letters))
+
+    report = tampered_stochastic_report(monkeypatch, shift)
+    assert report.checks == 2800 and max(excess) == above
+    assert report.passed == (not above)
+    if above:
+        assert len(report.failures) == 5
+        assert all("of degree above the word length" in f for f in report.failures)
+
+
 def test_stochastic_check_fails_on_an_entry_above_the_word_length(monkeypatch):
     same, other = state_index((2, 0, 0), 2), state_index((0, 2, 0), 2)
 
-    def shift_weight_up(word, col):
-        high = QPoly.monomial(len(word.letters) + 1)
-        col[same] = col.get(same, QPoly()) + high
-        col[other] = col.get(other, QPoly()) - high
+    def shift_weight_up(word, col, width):
+        high = pack(QPoly.monomial(len(word.letters) + 1), width)
+        col[same] = col.get(same, 0) + high
+        col[other] = col.get(other, 0) - high
 
     report = tampered_stochastic_report(monkeypatch, shift_weight_up)
     assert not report.passed

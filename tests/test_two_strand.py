@@ -21,7 +21,7 @@ reach it.
 import pytest
 from oracles import power, quantum_int
 
-from braidbowl import multiball
+from braidbowl import matrix
 from braidbowl.braid import BraidWord
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.multiball import index_state, rho_matrix
@@ -68,7 +68,7 @@ def widths(monkeypatch):
         seen.append(width)
         return unpack(x, width)
 
-    monkeypatch.setattr(multiball, "unpack", spy)
+    monkeypatch.setattr(matrix, "unpack", spy)
     return seen
 
 

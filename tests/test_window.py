@@ -74,7 +74,8 @@ def test_factored_push_matches_the_push_of_the_direct_sum(n, N, k, extra):
 @pytest.mark.parametrize("n, N, k", [(4, 2, 1), (5, 2, 1), (6, 2, 1)])
 def test_the_pushed_factorization_matches_the_matrix_product(monkeypatch, n, N, k):
     # check_specht pushes, in one batch, (1 - sigma_i) half_i for i from
-    # k + N down to k, then x_k, then sigma_i x_k for each i and (-q) x_k.
+    # k + N down to k, then x_k, then sigma_i x_k for each i and (-q) x_k,
+    # then the zero that rho(x_k) is compared with.
     # Its batch, pushed again at N' = N and at N' = N + 1, where nothing is
     # killed, must match the QPoly products that it replaced:
     # rho(half_i) @ (I - rho(sigma_i)), rho(x_k) @ rho(sigma_i) and
@@ -93,12 +94,13 @@ def test_the_pushed_factorization_matches_the_matrix_product(monkeypatch, n, N, 
         x,
         *(times((BraidWord(n, (i,)), ONE)) for i in window),
         times((BraidWord(n), -Q)),
+        HeckeElement(n),
     ]
     for extra in (0, 1):
         pushed = list(original(xs, n, N + extra))
         rho_x = pushed[N + 1]
         ident = identity(rho_x.dim)
-        for i, product, times_sigma in zip(window, pushed[N::-1], pushed[N + 2 : -1]):
+        for i, product, times_sigma in zip(window, pushed[N::-1], pushed[N + 2 : -2]):
             gen = rho_matrix(BraidWord(n, (i,)), N + extra)
             half = rho_element(specht_half(n, N, k, i), N + extra)
             expected = half @ difference(ident, gen)
@@ -107,7 +109,8 @@ def test_the_pushed_factorization_matches_the_matrix_product(monkeypatch, n, N, 
             if extra:
                 assert times_sigma == rho_x @ gen
         if extra:
-            assert pushed[-1] == scale(rho_x, -Q) != Matrix(rho_x.dim)
+            assert pushed[-2] == scale(rho_x, -Q) != Matrix(rho_x.dim)
+        assert pushed[-1] == Matrix(rho_x.dim)
 
 
 def test_a_flipped_ladder_term_fails_the_kernel_first(monkeypatch):
