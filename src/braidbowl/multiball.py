@@ -19,10 +19,10 @@ M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.
 ``push_columns`` builds it right to left, M(l s) = M(s) @ M(l), one ``step``
 per letter, so each partial is the matrix of a suffix.  rho is linear and
 multiplicative, so the push also yields, in order, the matrices of a batch
-of products of sums of words (``rho_batch``), where a product that ends
-with the letters or factors of the one before it starts from their partial;
-``rho_matrix`` and ``rho_element`` are batches of one.  Each matrix stays
-packed until its ``cols`` are read (``matrix.TransitionMatrix``).
+of products of sums of words (``rho_batch``), and builds a suffix that they
+share once, whatever their order; ``rho_matrix`` and ``rho_element`` are
+batches of one.  Each matrix stays packed until its ``cols`` are read
+(``matrix.TransitionMatrix``).
 
 A crossing here compares only its two counts, so rho commutes with every
 order-preserving relabelling of count values, and the block of a count
@@ -37,16 +37,13 @@ eigen-identity, and the inverse formula sigma (sigma + q - 1) = q, so
 sigma^{-1} = q^{-1}(sigma + q - 1) at rational q != 0.  Each of these matrix
 checks compares two products, each side of every comparison pushed, with
 no ``Matrix`` arithmetic: ``pushed_pairs`` pushes both sides of a list of
-labelled (left, right) pairs in one batch, and ``check_specht`` pushes its
-window products in one batch ordered so that x_k's ladders are stepped
-once.  The checks yield their (label, got, expected) comparisons in order,
-and ``matrix_report`` records them: a failure names the first entry where
-got and expected differ.  Sides from one push compare packed, so a passing
-check decodes nothing but what the inverse check evaluates.
-``check_stochastic`` checks packed columns, not matrices, and records its
-own in one pass in push order, one test per invariant, over its 100 random
-words pushed in one batch (sorted by their reversed letters, so that words
-ending alike follow each other).
+labelled (left, right) pairs in one batch.  The checks yield their (label,
+got, expected) comparisons in order, and ``matrix_report`` records them: a
+failure names the first entry where got and expected differ.  Sides from
+one push compare packed, so a passing check decodes nothing but what the
+inverse check evaluates.  ``check_stochastic`` checks packed columns, not
+matrices, and records its own in one pass, one test per invariant, over its
+100 random words pushed in one batch in the order drawn.
 """
 
 from __future__ import annotations
@@ -168,18 +165,18 @@ def push_columns(
     min(n, radix - 1) values.
     Otherwise every state is its own root.
 
-    Then the push takes the products one at a time.  A product whose factor
-    lists equal those of the product just before it is yielded again, the
-    same matrix, with nothing built.  Otherwise it is read from its end,
-    rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1), as a list of atoms: the
-    letters of a factor that is one word with coefficient ONE, one ``step``
-    each, else the factor, built when the chain reaches it and chained by
-    column j of P @ F being ``apply(P, F[j])``.  So each partial is rho of a
-    suffix.  The push keeps only the partials of the atoms, letters or equal
-    factors, that the next product starts with too, and starts it from the
-    deepest, so a batch sorted by reversed letters steps each distinct suffix
-    once, products that start with the same factors build them once, and a
-    lone product keeps nothing.  Within a factor, repeated words add their
+    Then the push reads each product from its end,
+    rho(f_1 ... f_r) = rho(f_r) @ ... @ rho(f_1), as a path of int atoms:
+    the letters of a factor that is one word with coefficient ONE, one
+    ``step`` each, else one negative id per distinct factor, built when the
+    chain reaches it and chained by column j of P @ F being
+    ``apply(P, F[j])``.  So each partial is rho of a suffix.  The push builds
+    the products in the sorted order of their paths, so paths that share a
+    prefix are adjacent; it keeps only the partials of the atoms that the
+    next path starts with too, and starts it from the deepest.  So any batch
+    steps each distinct path prefix once, a product whose path equals the
+    one before it gets its matrix, with nothing built, and a lone product
+    keeps nothing.  Within a factor, repeated words add their
     coefficients and words whose sum is 0 are dropped.  A factor is built in
     packed ints (``qpoly.pack``) by Horner's rule over the prefix trie of its
     words, deepest nodes first: the node of a prefix p has M(p) = sum over
@@ -188,9 +185,11 @@ def push_columns(
     whose words are the prefixes of its longest word, is a chain with signs
     +-1 in turn, so m words cost m - 1 steps.  Every column of a product,
     missing ones included, must sum to its own epsilon = prod_p sum_t c_t,
-    else ``ValueError`` names the column: the products before it have been
-    yielded, and it is not.  It reads the roots only: a copy sums to its
-    root's sum, and the root has the lower index.
+    else ``ValueError`` names the column.  It reads the roots only: a copy
+    sums to its root's sum, and the root has the lower index.  Products are
+    yielded in input order, each once it and every product before it are
+    built: at a failure, those before the first product not yet built have
+    been yielded, and no other.
 
     Digit width.  A generator column has total coefficient L1 norm at most
     ``growth`` (read from the fall's own weights, at least 1), so a column
@@ -292,47 +291,58 @@ def push_columns(
                 below.setdefault(node[:-1], []).append((node[-1], m))
         return m or {j: {} for j in roots}
 
-    def atoms(factors: Sequence[Factor]) -> list:
-        """The product's atoms, read from its end."""
-        out: list = []
-        for f in reversed(factors):
-            out += reversed(f[0][0].letters) if len(f) == 1 and f[0][1] == ONE else [f]
-        return out
+    ids: dict[tuple, int] = {}
 
-    paths = [*map(atoms, products), []]
+    def atoms(factors: Sequence[Factor]) -> tuple[int, ...]:
+        """The product's path: its atoms read from its end, a letter as
+        itself and a factor as ~(its place among the distinct factors)."""
+        out: list[int] = []
+        for f in reversed(factors):
+            word = len(f) == 1 and f[0][1] == ONE
+            out += reversed(f[0][0].letters) if word else [ids.setdefault(tuple(f), ~len(ids))]
+        return tuple(out)
+
+    paths = [*map(atoms, products), ()]
+    distinct = [*ids]
     identity = lambda: {j: {j: 1} for j in roots}
-    # kept[d]: rho of the first d + 1 atoms of the path being read, for the
-    # depths that the next path starts with.
+    # The walk: the products in the sorted order of their paths, then (),
+    # which keeps nothing.  kept[d]: rho of the first d + 1 atoms of the path
+    # being read, for the depths that the next path of the walk starts with.
+    walk = [*sorted(range(len(products)), key=paths.__getitem__), len(products)]
     kept: list[dict[int, dict[int, int]]] = []
-    previous = None
-    for p, factors in enumerate(products):
+    built: dict[int, TransitionMatrix] = {}
+    behind, ready = None, 0
+    for p, after in zip(walk, walk[1:]):
         path, keep = paths[p], 0
-        for a, b in zip(path, paths[p + 1]):
+        for a, b in zip(path, paths[after]):
             if a != b:
                 break
             keep += 1
         depth, total = len(kept), kept[-1] if kept else None
         del kept[keep:]
-        if factors != previous:
+        if path != behind:
             for d in range(depth, len(path)):
                 atom = path[d]
-                if type(atom) is int:
+                if atom > 0:
                     total = step(identity() if total is None else total, gens[atom])
                 elif total is None:
-                    total = build(atom)
+                    total = build(distinct[~atom])
                 else:
-                    total = {j: apply(total, col) for j, col in build(atom).items()}
+                    total = {j: apply(total, col) for j, col in build(distinct[~atom]).items()}
                 if d < keep:
                     kept.append(total)
             matrix = TransitionMatrix(dim, identity() if total is None else total, copies, width)
-            epsilon = math.prod((poly_sum(c for _w, c in f) for f in factors), start=ONE)
+            epsilon = math.prod((poly_sum(c for _w, c in f) for f in products[p]), start=ONE)
             one = pack(epsilon, width)
             for j in roots:
                 if sum(matrix.packed.get(j, {}).values()) != one:
                     got = poly_sum(matrix.cols.get(j, {}).values())
                     raise ValueError(f"column {j} sums to {got}, expected {epsilon}")
-            previous = factors
-        yield matrix
+            behind = path
+        built[p] = matrix
+        while ready in built:
+            yield built.pop(ready)
+            ready += 1
 
 
 Pushable = BraidWord | HeckeElement | HeckeProduct
@@ -469,14 +479,9 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     half_i are products of coset ladders (``braid.specht_element``), and
     rho(half_i)(I - rho(sigma_i)) is rho((1 - sigma_i) half_i), the product
     with one more factor; rho(x_k) rho(sigma_j) is rho(sigma_j x_k), and
-    -q rho(x_k) is rho((-q) x_k).  So every side is a pushed product, and
-    one push yields them all and builds each ladder as one Horner chain over
-    the prefixes of its longest word.  (1 - sigma_k) half_k has the factor
-    lists of x_k itself, so the push takes (1 - sigma_i) half_i for i from
-    k + N down to k, then x_k, which it yields again for nothing, then
-    sigma_j x_k for each j and (-q) x_k, which all start from x_k's
-    partials: x_k's ladders are stepped once.  Last comes 0, which rho(x_k)
-    is compared with, so that every comparison is within the push.
+    -q rho(x_k) is rho((-q) x_k).  So every comparison is a pair of products
+    that ``pushed_pairs`` pushes in one batch, which steps x_k's ladders
+    once: every product that ends with them starts from x_k's partials.
 
     The eigen-identity follows from the kernel comparison: once rho(x_k) = 0
     passes, each side is zero, so it tells something only when that fails.
@@ -485,22 +490,17 @@ def check_specht(n: int, N: int, k: int) -> CheckReport:
     not vacuous."""
     _validate_sizes(n, N)
     x = specht_element(n, N, k)
-    window = range(k, k + N + 1)
     one, word = BraidWord(n), lambda i: BraidWord(n, (i,))
-    one_minus = lambda i: HeckeElement(n, ((one, ONE), (word(i), -ONE)))
-    factored = [HeckeProduct(n, (one_minus(i), *specht_half(n, N, k, i).factors)) for i in window]
     times = lambda term: HeckeProduct(n, (HeckeElement(n, (term,)), *x.factors))
-    xs = [*factored[::-1], x, *(times((word(i), ONE)) for i in window), times((one, -Q))]
-    matrices = list(rho_batch([*xs, HeckeElement(n)], n, N))
-    rho_x, minus_q, zero = matrices[N + 1], matrices[-2], matrices[-1]
-
-    def comparisons():
-        yield f"rho(x_{k})", rho_x, zero
-        for i, product, times_sigma in zip(window, matrices[N::-1], matrices[N + 2 : -2]):
-            yield f"rho(x_{k}) = rho(half_{i})(I - sigma_{i})", rho_x, product
-            yield f"rho(x_{k}) sigma_{i} = -q rho(x_{k})", times_sigma, minus_q
-
-    return matrix_report(f"specht-kernel n={n} N={N} k={k}", comparisons(), n, N)
+    pairs = [(f"rho(x_{k})", x, HeckeElement(n))]
+    for i in range(k, k + N + 1):
+        one_minus = HeckeElement(n, ((one, ONE), (word(i), -ONE)))
+        factored = HeckeProduct(n, (one_minus, *specht_half(n, N, k, i).factors))
+        pairs.append((f"rho(x_{k}) = rho(half_{i})(I - sigma_{i})", x, factored))
+        eigen = times((word(i), ONE)), times((one, -Q))
+        pairs.append((f"rho(x_{k}) sigma_{i} = -q rho(x_{k})", *eigen))
+    comparisons = pushed_pairs(pairs, lambda xs: rho_batch(xs, n, N))
+    return matrix_report(f"specht-kernel n={n} N={N} k={k}", comparisons, n, N)
 
 
 def inverse_sides(n: int, N: int) -> list[Comparison]:
@@ -543,13 +543,12 @@ def check_stochastic(n: int, N: int) -> CheckReport:
 
     Column sums of 1 need no check here: ``rho_batch`` pushes each word as
     (word, ONE), and ``push_columns`` checks that every column sums to 1
-    before it yields the word's matrix.  The words are drawn first, then
-    sorted by their reversed letters and pushed in one call, so the push
-    steps each distinct suffix once.  The check is one pass in push order,
-    one test per invariant: a column's rows are states of its own count
-    multiset, and a word's entries have degree at most its length.  Both
-    read the packed columns, a copy's rows through its ``rows`` map, and
-    decode only to describe a failure.
+    before it yields the word's matrix.  The words are drawn first and
+    pushed in one call, which steps each distinct suffix once.  The check is
+    one pass in the order drawn, one test per invariant: a column's rows are
+    states of its own count multiset, and a word's entries have degree at
+    most its length.  Both read the packed columns, a copy's rows through
+    its ``rows`` map, and decode only to describe a failure.
     """
     import random
 
@@ -565,7 +564,6 @@ def check_stochastic(n: int, N: int) -> CheckReport:
         length = rng.randint(0, STOCHASTIC_MAX_LEN)
         letters = tuple(rng.randint(1, n - 1) for _ in range(length)) if n > 1 else ()
         words.append(BraidWord(n, letters))
-    words.sort(key=lambda w: w.letters[::-1])
     for word, m in zip(words, rho_batch(words, n, N)):
         for j, key in enumerate(multisets):
             r, rows = m.copies.get(j, (j, {}))

@@ -5,7 +5,8 @@ q-combinatorics of the cabled closed form as first written, with q-factorials
 and powers of 1 - q, a generator matrix built state by state and one read
 off ``rho_matrix``, the matrix of a product of combinations of words by a
 sweep over the suffixes of their words, the entries of a matrix in output
-order, the column-sum check on decoded polynomials, and the ``Matrix``
+order, the column-sum check on decoded polynomials, the words that
+``check_stochastic`` draws, in the order drawn, and the ``Matrix``
 arithmetic that only the tests compute: the identity, a scalar multiple and
 a difference.
 
@@ -17,10 +18,12 @@ permutation_of(u + v) = permutation_of(v) after permutation_of(u).
 
 import functools
 import itertools
+import random
 
 from braidbowl.cabled import gauss_binom
 from braidbowl.matrix import Matrix, apply
 from braidbowl.braid import BraidWord, HeckeElement, minimal_braid
+from braidbowl import multiball
 from braidbowl.multiball import index_state, rho_matrix, state_index
 from braidbowl.qpoly import ONE, ONE_MINUS_Q, ZERO, QPoly, poly_sum
 
@@ -214,3 +217,13 @@ def column_sum_failure(m, total):
         if got != total:
             return f"column {j} sums to {got}, expected {total}"
     return None
+
+
+def drawn_stochastic_words(n):
+    """The words of ``check_stochastic`` on n strands, in the order drawn."""
+    rng = random.Random(multiball.STOCHASTIC_SEED)
+    words = []
+    for _ in range(multiball.STOCHASTIC_WORDS):
+        length = rng.randint(0, multiball.STOCHASTIC_MAX_LEN)
+        words.append(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(length))))
+    return words

@@ -1,6 +1,5 @@
 """The multi-ball representation: golden columns, relation checks, properties."""
 
-import random
 import re
 from fractions import Fraction
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     column_sum_failure,
     difference,
+    drawn_stochastic_words,
     entries_sorted,
     generator_by_states,
     generator_matrix,
@@ -417,16 +417,6 @@ def test_stochastic_check_fails_on_an_entry_that_changes_the_count_multiset(monk
     assert "count multiset changes [2,0,0] -> [1,1,0]" in report.failures[0]
 
 
-def drawn_stochastic_words(n):
-    """The words of ``check_stochastic`` on n strands, in the order drawn."""
-    rng = random.Random(multiball.STOCHASTIC_SEED)
-    words = []
-    for _ in range(multiball.STOCHASTIC_WORDS):
-        length = rng.randint(0, multiball.STOCHASTIC_MAX_LEN)
-        words.append(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(length))))
-    return words
-
-
 @pytest.mark.parametrize("n, N, steps, checks", [(4, 2, 197, 8200), (3, 2, 119, 2800)])
 def test_stochastic_check_steps_each_distinct_suffix_once(monkeypatch, n, N, steps, checks):
     # The words one by one take 421 steps at (4, 2) and 379 at (3, 2).
@@ -448,13 +438,13 @@ def test_stochastic_check_steps_each_distinct_suffix_once(monkeypatch, n, N, ste
     report = check_stochastic(n, N)
     assert report.passed and report.checks == checks
     assert len(calls) == steps
-    assert pushed == sorted(words, key=lambda w: w.letters[::-1])
+    assert pushed == words
 
 
 def test_stochastic_failures_are_listed_in_push_order(monkeypatch):
-    # Two words that are each drawn once, the first of which is pushed after
-    # the second, since the push sorts the words by their reversed letters;
-    # each fails one column.
+    # Two words that are each drawn once, the first of which the push builds
+    # after the second, since it walks the words by their reversed letters;
+    # each fails one column, and the failures follow the order drawn.
     words = drawn_stochastic_words(3)
     once = [w for w in words if words.count(w) == 1]
     first, second = next(
@@ -470,7 +460,7 @@ def test_stochastic_failures_are_listed_in_push_order(monkeypatch):
     report = tampered_stochastic_report(monkeypatch, move_one_entry)
     assert report.checks == 2800
     assert report.failures == [
-        f"word '{w}': count multiset changes [2,0,0] -> [1,1,0]" for w in (second, first)
+        f"word '{w}': count multiset changes [2,0,0] -> [1,1,0]" for w in (first, second)
     ]
 
 

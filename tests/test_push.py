@@ -10,7 +10,9 @@ are also built state by state from those same fall distributions
 generator tables alone."""
 
 import functools
+import itertools
 import math
+import random
 import re
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     column_sum_failure,
+    drawn_stochastic_words,
     entries_sorted,
     generator_by_states,
     generator_matrix,
@@ -648,11 +651,12 @@ def test_a_reversed_product_is_built_in_full_and_a_shared_first_factor_once(monk
     matrices, cost = push_cost(monkeypatch, [FG, GF])
     assert matrices == [fg, gf]
     assert cost == (8, 30)
-    # Read from its end, FG is G, then F.  REPEAT_G is FG's first atom, so
-    # it is yielded from FG's kept partial, and the second FG starts from it.
+    # Read from its end, FG is G, then F, so REPEAT_G's path is a prefix of
+    # FG's and is built first: FG starts from its partial, and the second FG,
+    # of the same path, is the first FG's matrix.  The batch costs FG alone.
     matrices, cost = push_cost(monkeypatch, [FG, REPEAT_G, FG])
-    assert matrices == [fg, g, fg]
-    assert cost == (6, 26) == tuple(2 * a - b for a, b in zip(fg_cost, g_cost))
+    assert matrices == [fg, g, fg] and matrices[0] is matrices[2]
+    assert cost == (4, 15) == fg_cost
 
 
 def model_fall(model, cap):
@@ -691,16 +695,87 @@ def test_a_batch_in_suffix_order_steps_each_distinct_suffix_once(monkeypatch, mo
 
 
 @pytest.mark.parametrize("model", ["single-lane", "cabled"])
-def test_only_the_next_product_starts_from_a_shared_suffix(monkeypatch, model):
-    # (2, 1) and (1, 2, 1) end alike; (1, 2) between them ends otherwise, so
-    # the last word is built in full, and a lone word costs a step a letter.
+def test_a_shared_suffix_is_stepped_once_in_either_order(monkeypatch, model):
+    # (2, 1) and (1, 2, 1) end alike; (1, 2) ends otherwise.  Listed between
+    # them, it does not stop (1, 2, 1) from starting at (2, 1)'s partial, and
+    # a lone word costs a step a letter.
     fall = model_fall(model, 2)
     push = lambda *ws: counted_push(monkeypatch, [[[(w, ONE)]] for w in ws], 3, 2, fall)
     a, b, c = (BraidWord(3, ls) for ls in [(2, 1), (1, 2), (1, 2, 1)])
     ((ma,), sa), ((mb,), sb), ((mc,), sc) = push(a), push(b), push(c)
     assert (sa, sb, sc) == (2, 2, 3)
-    assert push(a, b, c) == ([ma, mb, mc], 7)
+    assert push(a, b, c) == ([ma, mb, mc], 5)
     assert push(a, c, b) == ([ma, mc, mb], 5)
+
+
+def path_of(factors):
+    """A product's atoms read from its end: each letter of a factor that is
+    one word with coefficient 1, else the factor's terms."""
+    out = []
+    for f in reversed(factors):
+        out += reversed(f[0][0].letters) if len(f) == 1 and f[0][1] == ONE else [tuple(f)]
+    return tuple(out)
+
+
+def assert_order_free(monkeypatch, products, n, cap, fall, orders):
+    """Each order of ``products`` pushes to the matrices of its products
+    pushed alone, in that order, with one object for equal paths, and with
+    one step per distinct path prefix that ends with a letter, plus a
+    factor's own steps per distinct prefix that ends with it.  Returns that
+    step count."""
+    alone = [push_one(factors, n, cap + 1, fall) for factors in products]
+    paths = [*map(path_of, products)]
+    prefixes = {path[: d + 1] for path in paths for d in range(len(path))}
+    own = lambda f: counted_push(monkeypatch, [[f]], n, cap, fall)[1]
+    steps = sum(1 if type(p[-1]) is int else own(p[-1]) for p in prefixes)
+    for order in orders:
+        matrices, count = counted_push(monkeypatch, [products[k] for k in order], n, cap, fall)
+        assert count == steps
+        assert len(matrices) == len(order)
+        assert all(m == alone[k] for m, k in zip(matrices, order))
+        for (a, m), (b, other) in itertools.combinations(zip(order, matrices), 2):
+            assert (m is other) == (paths[a] == paths[b])
+    return steps
+
+
+# On three strands: two words that end alike, (1 2 1) and the word factor
+# of Z (2 1), whose other factor Z is 0; FG and GF, whose factors are shared,
+# and G, equal to FG's first atom, whose path is a prefix of FG's; and the
+# empty word, whose path is a prefix of every path.
+ZERO_FACTOR = [(BraidWord(3, (2,)), Q), (BraidWord(3, (2,)), -Q)]
+MIXED = [
+    [[(BraidWord(3, (1, 2, 1)), ONE)]],
+    [ZERO_FACTOR, [(BraidWord(3, (2, 1)), ONE)]],
+    batch_factors(FG),
+    batch_factors(GF),
+    batch_factors(REPEAT_G),
+    [[(BraidWord(3), ONE)]],
+]
+
+
+@pytest.mark.parametrize("model, cap", [("single-lane", 1), ("cabled", 2)])
+def test_every_order_of_a_mixed_batch_gives_the_same_matrices_and_steps(monkeypatch, model, cap):
+    fall = model_fall(model, cap)
+    alone = [push_one(factors, 3, cap + 1, fall) for factors in MIXED]
+    assert all(a != b for a, b in itertools.combinations(alone, 2))
+    orders = list(itertools.permutations(range(len(MIXED))))
+    # Three steps for (1 2 1), whose first two Z (2 1) shares; two each for
+    # G and F, each built once in FG and once in GF; none for G alone, which
+    # is FG's first atom, for Z, which is 0, or for the empty word.
+    assert assert_order_free(monkeypatch, MIXED, 3, cap, fall, orders) == 3 + 4 * 2
+
+
+@pytest.mark.parametrize("model", ["single-lane", "cabled"])
+def test_the_stochastic_words_take_197_steps_in_any_order(monkeypatch, model):
+    words = drawn_stochastic_words(4)
+    assert len(set(words)) < len(words)
+    products = [[[(w, ONE)]] for w in words]
+    orders = [range(len(words))]
+    for seed in range(3):
+        order = list(range(len(words)))
+        random.Random(seed).shuffle(order)
+        orders.append(order)
+    assert assert_order_free(monkeypatch, products, 4, 2, model_fall(model, 2), orders) == 197
 
 
 def test_sharing_stops_at_the_first_factor_that_is_not_a_word(monkeypatch):
@@ -719,10 +794,10 @@ def test_sharing_stops_at_the_first_factor_that_is_not_a_word(monkeypatch):
 
 
 def test_check_specht_steps_the_ladders_of_x_k_once(monkeypatch):
-    # check_specht(6, 2, 1) pushes (1 - sigma_i) half_i for i = 3, 2, 1, then
-    # x_1, then sigma_j x_1 for j = 1, 2, 3 and (-q) x_1.  (1 - sigma_1) half_1
-    # has x_1's factor lists, and every product after it starts with x_1's
-    # ladders, so those are stepped once, and each sigma_j adds one step.
+    # check_specht(6, 2, 1) pushes x_1, (1 - sigma_i) half_i for i = 1, 2, 3,
+    # sigma_j x_1 for j = 1, 2, 3 and (-q) x_1.  (1 - sigma_1) half_1 has x_1's
+    # path, and every sigma_j x_1 and (-q) x_1 starts with x_1's ladders, so
+    # those are stepped once, and each sigma_j adds one step.
     n, N, k = 6, 2, 1
 
     def steps_of(run):
@@ -769,6 +844,30 @@ def test_a_fall_that_breaks_column_sums_fails_before_its_matrix_is_yielded(monke
     column = state_index((1, 0, 0), 1)
     with pytest.raises(ValueError, match=rf"^column {column} sums to 2, expected 1$"):
         for m in multiball.rho_batch(words, 3, 1):
+            yielded.append(m)
+    assert yielded == [identity(8)]
+
+
+def test_a_failing_product_that_sorts_ahead_stops_the_products_before_it(monkeypatch):
+    original = multiball.apply_generator
+
+    def skewed(a, b):
+        # As above: sigma_1 takes the column of (1,0,0) to a sum of 2.
+        branches = original(a, b)
+        return [(c, ONE) for c, _w in branches] if (a, b) == (1, 0) else branches
+
+    monkeypatch.setattr(multiball, "apply_generator", skewed)
+    # The push builds the paths (), () and (1,) in that order: the empty
+    # word, then 1, which is the empty word's matrix, then sigma_1, which
+    # fails.  Only the empty word has every product before it built, so it
+    # alone is yielded; sigma_2 and 1 come before or after sigma_1 in the
+    # batch and are not.
+    one = HeckeElement(3, ((BraidWord(3), ONE),))
+    xs = [BraidWord(3), BraidWord(3, (2,)), BraidWord(3, (1,)), one]
+    yielded = []
+    column = state_index((1, 0, 0), 1)
+    with pytest.raises(ValueError, match=rf"^column {column} sums to 2, expected 1$"):
+        for m in multiball.rho_batch(xs, 3, 1):
             yielded.append(m)
     assert yielded == [identity(8)]
 
