@@ -80,6 +80,21 @@ GOLDEN = [
          "--eval-q", "2/3"),
         0, "2c6fcb16c28ba2fd3e7f0986d1126bc66d8354b97f63c6fad72b8ef18006a499",
     ),
+    # Copies whose root entries vanish at q = 0: the whole column drops out.
+    (
+        ("rho", "2 1 2 1", "--n", "3", "--max-balls", "5", "--eval-q", "0"),
+        0, "dc8251a17dffc39674254cbabeb889ce1e79623e40908a87a9fcc1dfe02f887a",
+    ),
+    # Digits over 64 bits, written as polynomials.
+    (
+        ("rho", " ".join(["1 2"] * 20), "--n", "3", "--max-balls", "2", "--format", "pretty"),
+        0, "80bc6509a70e1b8d5a4fce9a7e5b9dd8032776bef3c375d2ae21038106121587",
+    ),
+    (
+        ("cabled", "1 2 1 1", "--n", "3", "--cable", "2", "--format", "pretty",
+         "--eval-q=-1"),
+        0, "530983649edb0ac102ff2f7514d526a1e7f34a311d79589097bd66bdfd84da6c",
+    ),
 ]
 
 
@@ -97,3 +112,12 @@ def test_out_file_matches_golden_digest(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "eb71bfdbac58e3c6cfcb9d35ddbd58bac9cf2b96fb8f4edea6c6dde8b0601da5"
+
+
+def test_cabled_out_file_matches_golden_digest(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    argv = ["cabled", "2 1 3 2", "--n", "4", "--cable", "2", "--out", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "a8ef28a490c7f23b4b8a3f726862b9b1ecead30e2314f95cd9918cb93b6496c8"
