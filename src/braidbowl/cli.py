@@ -10,11 +10,13 @@ check SUITE [size flags]         run verification checks; exit 0 iff all pass
 
 Exit codes: 0 pass, 1 check failure, 2 usage error.  Output is byte
 deterministic for fixed inputs: entries are sorted by (column, row) and all
-polynomials are canonical.  Both formats walk the matrix one sorted column at
-a time and format each distinct entry once, where the walk first meets it.
-JSON output writes each value's text directly (``QPoly.json_text``, or a
-fraction's ``{"num", "den"}`` object) and joins the entries as text, the
-bytes of ``json.dumps`` of the whole matrix or fall distribution.
+polynomials are canonical.  ``rho`` and ``cabled`` write every format in one
+walk over the packed push, with no ``cols``: the nonempty columns in index
+order, a root's rows sorted and a copy's its root's rows relabelled.  Each
+distinct packed int is decoded once (``qpoly.digits``) and formatted once: as
+JSON straight from its digits, as a polynomial, or as its value at
+``--eval-q``, left out where it vanishes.  JSON output joins the entries as
+text, the bytes of ``json.dumps`` of the whole matrix or fall distribution.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable
 from . import cabled as cabledmod
 from . import multiball
 from .braid import parse_word, validate_window
-from .qpoly import QPoly
+from .qpoly import QPoly, digits
 from .report import CheckReport
 
 MAX_DIM = 100_000
@@ -84,41 +86,48 @@ def _check_cable(K: int) -> None:
 
 
 def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
-    """Shared body of ``rho`` and ``cabled``: ``build(word)`` is the transition
-    matrix on states of n counts in 0..cap."""
+    """Shared body of ``rho`` and ``cabled``: ``build(word)`` is the packed
+    transition matrix on states of n counts in 0..cap, written in one walk."""
     word = parse_word(args.word, args.n)
     _check_dim(cap + 1, args.n)
     eval_q = _parse_eval_q(args.eval_q)
+    json_out = args.format == "json"
+    fmt = _json_text(eval_q) if json_out else str
     with _open_out(args.out) as out:
         m = build(word)
-        if eval_q is not None:
-            m = m.eval_at(eval_q)
-        # Equal entries share one object (from the push or ``eval_at``), so
-        # each object is formatted once, where the walk first meets it.
-        shown: dict[int, str] = {}
-        if args.format == "json":
-            fmt, entries = _json_text(eval_q), []
-            for j in sorted(m.cols):
-                col = m.cols[j]
-                for i in sorted(col):
-                    text = shown.get(id(v := col[i]))
-                    if text is None:
-                        text = shown[id(v)] = fmt(v)
-                    entries.append(f"[{i}, {j}, {text}]")
-            meta = {"n": args.n, cap_name: cap, "dim": m.dim, "entries": []}
-            head, tail = json.dumps(meta).rsplit("[]", 1)
-            print(f"{head}[{', '.join(entries)}]{tail}", file=out)
+
+        def text(x: int) -> str | None:
+            coeffs = digits(x, m.width)
+            if eval_q is None and json_out:
+                return f'{{"coeffs": {coeffs}}}'
+            v = QPoly(coeffs) if eval_q is None else QPoly(coeffs).eval_at(eval_q)
+            return fmt(v) if v else None
+
+        shown = {x: text(x) for x in set().union(*map(dict.values, m.packed.values()))}
+        if json_out:
+            label, tail = list(map(str, range(m.dim))), "]"
+            around = lambda j: ("[", f", {j}, ")
         else:
-            label = [str(list(u)) for u in multiball.all_states(args.n, cap)]
-            lines = [f"n={args.n} {cap_name}={cap} word='{word}' dim={m.dim}"]
-            for j in sorted(m.cols):
-                col = m.cols[j]
-                for i in sorted(col):
-                    text = shown.get(id(v := col[i]))
-                    if text is None:
-                        text = shown[id(v)] = str(v)
-                    lines.append(f"  u={label[j]} -> v={label[i]}: {text}")
-            print("\n".join(lines), file=out)
+            label, tail = [str(list(u)) for u in multiball.all_states(args.n, cap)], ""
+            around = lambda j: (f"  u={label[j]} -> v=", ": ")
+        # Column j of a copy is its root r's with row t moved to rows[t], a map
+        # monotone in index, so r's sorted rows stay sorted.
+        order = {r: sorted(col) for r, col in m.packed.items()}
+        entries: list[str] = []
+        for j in sorted(order.keys() | {j for j, (r, _) in m.copies.items() if r in order}):
+            r, rows = m.copies.get(j, (j, None))
+            col, (head, mid) = m.packed[r], around(j)
+            entries += [
+                f"{head}{label[t if rows is None else rows[t]]}{mid}{s}{tail}"
+                for t in order[r] if (s := shown[col[t]])
+            ]
+        if json_out:
+            meta = {"n": args.n, cap_name: cap, "dim": m.dim, "entries": []}
+            before, after = json.dumps(meta).rsplit("[]", 1)
+            print(f"{before}[{', '.join(entries)}]{after}", file=out)
+        else:
+            header = f"n={args.n} {cap_name}={cap} word='{word}' dim={m.dim}"
+            print("\n".join([header, *entries]), file=out)
     return 0
 
 
@@ -173,7 +182,10 @@ def suite_calls(args) -> list[tuple[Callable[..., CheckReport], tuple]]:
         _check_dim(K + 1, n)
     if suite in ("braid", "cabled", "all") and n < 3:
         raise ValueError("braid relation checks need --n >= 3")
-    if suite in ("specht", "all") and k is not None and not 1 <= k <= n - 2:
+    if k is not None and suite not in ("specht", "all"):
+        # Only the window checks read k; elsewhere it would pass unseen.
+        raise ValueError(f"--k needs a suite with the specht check, not {suite}")
+    if k is not None and not 1 <= k <= n - 2:
         raise ValueError(f"--k must be in 1..{n - 2} at --n {n}")
     if suite == "specht":
         validate_window(n, N, 1 if k is None else k)

@@ -8,8 +8,9 @@ only need +, * (by each other and by an int), and truthiness, which both
 QPoly and Fraction provide.  ``apply`` is the one sparse accumulation loop:
 it runs on the packed ints of ``multiball.push_columns``, and it is the body
 of ``@`` and ``+``, which only the tests compute.  A ``TransitionMatrix``
-keeps the push's packed ints and decodes them into QPoly entries only when
-``cols`` is first read; it is the one reader of ``qpoly.unpack``.
+keeps the push's packed ints, which the CLI writes from, and decodes them
+into QPoly entries only when a check or a test reads ``cols``, the one
+reader of ``qpoly.unpack``.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ class TransitionMatrix(Matrix):
     columns sum to its epsilon, kept packed: ``packed`` maps each root state
     to its nonempty column of ints (``qpoly.pack`` at digit width ``width``),
     and ``copies`` maps every other state j to (r, rows), column j being
-    root r's with row t moved to rows[t].  ``cols`` decodes on first read,
-    each distinct entry into one QPoly that copies share.  The matrices of
+    root r's with row t moved to rows[t], a map monotone in index.  The CLI
+    writes from these alone; ``cols`` decodes on first read, each distinct
+    entry into one QPoly that copies share.  The matrices of
     one push share ``copies`` and ``width``; ``pack`` is injective at one
     width and a copy is fixed by its root, so ``==`` compares their packed
     roots, and any other pair their ``cols``.  ``perfbench/layertrace.py``

@@ -12,7 +12,7 @@ coefficient that is not an ``int``.  Results of ``+``, ``-``, ``*`` and
 negation are built from coefficients that are ints by construction, so they
 skip that scan and only strip trailing zeros.
 
-``pack`` and ``unpack`` are the Kronecker codec of the push kernel: a
+``pack`` and ``digits`` are the Kronecker codec of the push kernel: a
 polynomial whose coefficients all satisfy |c| < 2^(B-1) is the Python int
 sum c_i 2^(B i), its value at q = 2^B.  Sums and products of packed ints are
 exact as long as every coefficient of the result stays in that range, and
@@ -139,8 +139,9 @@ def _trusted(coeffs: tuple[int, ...]) -> QPoly:
 
 # The memoryview format that reads a signed digit of each width in place, on
 # a little-endian host.  Any other digit is read with from_bytes, several
-# times slower per digit; that matters because a cabled push can have
-# thousands of distinct entries to decode, each with dozens of digits.
+# times slower per digit; that matters because the CLI writes every distinct
+# entry of a pushed matrix from its digits, and a cabled push has thousands
+# of them, each with dozens of digits.
 _DIGIT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
 
 
@@ -164,9 +165,9 @@ def pack(p: QPoly, width: int) -> int:
     return out
 
 
-def unpack(x: int, width: int) -> QPoly:
-    """The polynomial ``pack`` turned into x, given that every coefficient
-    satisfies |c| < 2^(width-1).
+def digits(x: int, width: int) -> list[int]:
+    """The coefficients, lowest first, that ``pack`` turned into x, given
+    that every one satisfies |c| < 2^(width-1).
 
     Adding 2^(width-1) to every digit makes each one nonnegative, so the
     addition carries nothing; XOR with the same bias then leaves every digit
@@ -176,16 +177,20 @@ def unpack(x: int, width: int) -> QPoly:
     # With d digits, c_(d-1) != 0 and every |c_i| < 2^(width-1) put |x|
     # strictly between 2^(width (d-1) - 1) and 2^(width d - 1), so its bit
     # length lies in [width (d-1), width d - 1] and this is d.
-    digits = x.bit_length() // width + 1
-    bias = int.from_bytes((1 << (width - 1)).to_bytes(size, "little") * digits, "little")
-    data = ((x + bias) ^ bias).to_bytes(size * digits, "little")
+    count = x.bit_length() // width + 1
+    bias = int.from_bytes((1 << (width - 1)).to_bytes(size, "little") * count, "little")
+    data = ((x + bias) ^ bias).to_bytes(size * count, "little")
     fmt = _DIGIT_FORMATS.get(width)
     if fmt is not None:
-        return _trusted(tuple(memoryview(data).cast(fmt)))
-    return _trusted(tuple(
-        int.from_bytes(data[k : k + size], "little", signed=True)
-        for k in range(0, len(data), size)
-    ))
+        return memoryview(data).cast(fmt).tolist()
+    return [
+        int.from_bytes(data[k : k + size], "little", signed=True) for k in range(0, len(data), size)
+    ]
+
+
+def unpack(x: int, width: int) -> QPoly:
+    """The polynomial ``pack`` turned into x: its ``digits`` as a QPoly."""
+    return _trusted(tuple(digits(x, width)))
 
 
 ZERO = QPoly()

@@ -5,7 +5,8 @@ q-combinatorics of the cabled closed form as first written, with q-factorials
 and powers of 1 - q, a generator matrix built state by state and one read
 off ``rho_matrix``, the matrix of a product of combinations of words by a
 sweep over the suffixes of their words, the entries of a matrix in output
-order, the column-sum check on decoded polynomials, the words that
+order, the CLI's matrix output written from the decoded ``cols``, the
+column-sum check on decoded polynomials, the words that
 ``check_stochastic`` draws, in the order drawn, and the ``Matrix``
 arithmetic that only the tests compute: the identity, a scalar multiple and
 a difference.
@@ -18,9 +19,11 @@ permutation_of(u + v) = permutation_of(v) after permutation_of(u).
 
 import functools
 import itertools
+import json
 import random
 
 from braidbowl.cabled import gauss_binom
+from braidbowl.cli import fraction_to_json
 from braidbowl.matrix import Matrix, apply
 from braidbowl.braid import BraidWord, HeckeElement, minimal_braid
 from braidbowl import multiball
@@ -207,6 +210,39 @@ def entries_sorted(m):
         col = m.cols[j]
         for i in sorted(col):
             yield i, j, col[i]
+
+
+def written_matrix(m, word, cap_name, cap, fmt="json", eval_q=None):
+    """The text ``braidbowl rho`` or ``cabled`` prints for m, the matrix of
+    ``word`` at cap ``cap``, as the CLI first wrote it: the whole matrix
+    decoded into ``cols`` (and evaluated by ``Matrix.eval_at``), walked one
+    sorted column at a time, each distinct entry object formatted once."""
+    if eval_q is not None:
+        m = m.eval_at(eval_q)
+    shown = {}
+    if fmt == "json":
+        text_of = QPoly.json_text if eval_q is None else (lambda v: json.dumps(fraction_to_json(v)))
+        entries = []
+        for j in sorted(m.cols):
+            col = m.cols[j]
+            for i in sorted(col):
+                text = shown.get(id(v := col[i]))
+                if text is None:
+                    text = shown[id(v)] = text_of(v)
+                entries.append(f"[{i}, {j}, {text}]")
+        meta = {"n": word.n, cap_name: cap, "dim": m.dim, "entries": []}
+        head, tail = json.dumps(meta).rsplit("[]", 1)
+        return f"{head}[{', '.join(entries)}]{tail}\n"
+    label = [str(list(u)) for u in multiball.all_states(word.n, cap)]
+    lines = [f"n={word.n} {cap_name}={cap} word='{word}' dim={m.dim}"]
+    for j in sorted(m.cols):
+        col = m.cols[j]
+        for i in sorted(col):
+            text = shown.get(id(v := col[i]))
+            if text is None:
+                text = shown[id(v)] = str(v)
+            lines.append(f"  u={label[j]} -> v={label[i]}: {text}")
+    return "\n".join(lines) + "\n"
 
 
 def column_sum_failure(m, total):

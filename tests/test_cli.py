@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import entries_sorted
+from oracles import entries_sorted, written_matrix
 
-from braidbowl import cabled, multiball
+from braidbowl import cabled, cli, multiball
 from braidbowl.braid import BraidWord, parse_word
 from braidbowl.cabled import rho_cabled_matrix
 from braidbowl.cli import SUITES, build_parser, fraction_to_json, main, suite_calls
+from braidbowl.matrix import TransitionMatrix
 from braidbowl.multiball import index_state, rho_matrix, state_index
-from braidbowl.qpoly import Q
+from braidbowl.qpoly import Q, digits
 from test_multiball import drop_one_ball
 from test_push import words
 
@@ -204,6 +205,15 @@ class TestCheckCommand:
         message = f"--corrupt-generator needs a suite with the hecke check, not {suite}"
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("suite", ["braid", "hecke", "cabled", "stochastic"])
+    def test_k_without_the_specht_check_is_a_usage_error(self, capsys, suite):
+        # Only the window checks read --k: exit 2, run nothing.
+        code, out, err = run(
+            capsys, "check", suite, "--n", "4", "--max-balls", "1", "--k", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --k needs a suite with the specht check, not {suite}\n"
+
     def test_corrupted_generator_fails_check_all(self, capsys):
         code, out, _ = run(
             capsys, "check", "all", "--n", "3", "--max-balls", "1", "--cable", "1",
@@ -362,6 +372,69 @@ def test_json_output_of_long_words_equals_dumps_of_the_whole_matrix(command, wor
     """Coefficients wider than 64 bits, the golden long words."""
     argv = matrix_argv(command, word, cap, q)
     assert stdout_of(argv) == whole_matrix_json(command, word, cap, q)
+
+
+# (command, n, cap): with orbit copies at n = 3, N = 5 and n = 4, N = 3.
+WRITER_SHAPES = [("rho", 3, 5), ("rho", 4, 3), ("rho", 3, 2), ("cabled", 3, 2), ("cabled", 4, 1)]
+WRITER_QS = [None, "0", "1", "-1", "2/3"]
+
+
+def assert_written_like_the_oracle(command, word, cap, fmt, q):
+    _flag, cap_name, build = MODELS[command]
+    argv = [*matrix_argv(command, word, cap, None), "--format", fmt]
+    argv += [] if q is None else [f"--eval-q={q}"]
+    eval_q = None if q is None else Fraction(q)
+    expected = written_matrix(build(word, cap), word, cap_name, cap, fmt, eval_q)
+    assert stdout_of(argv) == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+@pytest.mark.parametrize("q", WRITER_QS)
+@given(shape=st.sampled_from(WRITER_SHAPES), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_the_packed_walk_writes_what_the_decoded_walk_wrote(fmt, q, shape, data):
+    command, n, cap = shape
+    letters = data.draw(st.lists(st.integers(1, n - 1), max_size=6))
+    assert_written_like_the_oracle(command, BraidWord(n, tuple(letters)), cap, fmt, q)
+
+
+@pytest.mark.parametrize(
+    "command, word, cap",
+    [("rho", BraidWord(3, (1, 2) * 20), 2), ("cabled", BraidWord(2, (1,) * 12), 4)],
+)
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+@pytest.mark.parametrize("q", WRITER_QS)
+def test_the_packed_walk_writes_digits_over_64_bits_as_the_decoded_walk_did(
+    command, word, cap, fmt, q
+):
+    assert MODELS[command][2](word, cap).width > 64
+    assert_written_like_the_oracle(command, word, cap, fmt, q)
+
+
+@pytest.mark.parametrize(
+    "command, word, cap",
+    [("rho", BraidWord(4, (1, 2, 1, 3, 2, 1)), 3), ("cabled", BraidWord(3, (1, 2, 1, 1)), 2)],
+    ids=["rho", "cabled"],
+)
+@pytest.mark.parametrize(
+    "extra", [[], ["--format", "pretty"], ["--eval-q", "1/2"]], ids=["json", "pretty", "eval"]
+)
+def test_the_writer_decodes_each_distinct_packed_entry_once_and_never_reads_cols(
+    monkeypatch, command, word, cap, extra
+):
+    """The CLI writes from the packed push: no ``TransitionMatrix.cols``, and
+    one ``qpoly.digits`` per distinct packed int of the root columns."""
+    packed = MODELS[command][2](word, cap).packed
+    distinct = set().union(*map(dict.values, packed.values()))
+    decoded, reads = [], []
+    cols = TransitionMatrix.cols
+    monkeypatch.setattr(
+        TransitionMatrix, "cols", property(lambda m: reads.append(m) or cols.__get__(m))
+    )
+    monkeypatch.setattr(cli, "digits", lambda x, width: decoded.append(x) or digits(x, width))
+    stdout_of([*matrix_argv(command, word, cap, None), *extra])
+    assert reads == []
+    assert len(decoded) == len(distinct) and set(decoded) == distinct
 
 
 def test_missing_subcommand_is_usage_error():
