@@ -112,14 +112,14 @@ def _cmd_matrix(args, cap_name: str, cap: int, build) -> int:
             around = lambda j: (f"  u={label[j]} -> v=", ": ")
         # Column j of a copy is its root r's with row t moved to rows[t], a map
         # monotone in index, so r's sorted rows stay sorted.
-        order = {r: sorted(col) for r, col in m.packed.items()}
+        rows_of = {r: sorted(col) for r, col in m.packed.items()}
         entries: list[str] = []
-        for j in sorted(order.keys() | {j for j, (r, _) in m.copies.items() if r in order}):
+        for j in sorted(rows_of.keys() | {j for j, (r, _) in m.copies.items() if r in rows_of}):
             r, rows = m.copies.get(j, (j, None))
             col, (head, mid) = m.packed[r], around(j)
             entries += [
                 f"{head}{label[t if rows is None else rows[t]]}{mid}{s}{tail}"
-                for t in order[r] if (s := shown[col[t]])
+                for t in rows_of[r] if (s := shown[col[t]])
             ]
         if json_out:
             meta = {"n": args.n, cap_name: cap, "dim": m.dim, "entries": []}
