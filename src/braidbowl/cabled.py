@@ -22,7 +22,7 @@ placement with rho_K.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .braid import BraidWord
 from .matrix import TransitionMatrix
@@ -104,9 +104,11 @@ def apply_generator_cabled(a: int, b: int, K: int):
     return fall_distribution(K, a, b).items()
 
 
-def rho_cabled_batch(words: Sequence[BraidWord], n: int, K: int) -> Iterator[TransitionMatrix]:
-    """The cabled matrix of each word on n strands, yielded in order from one
-    push, which asks for the (K+1)^2 fall distributions once."""
+def rho_cabled_batch(words: Sequence[BraidWord], n: int, K: int) -> list[TransitionMatrix]:
+    """The cabled matrix of each word on n strands, as a list in the order of
+    ``words`` from one push, which asks for the (K+1)^2 fall distributions
+    once and builds each distinct word once.  A column that fails its sum
+    raises before anything is returned."""
     validate_cable(K)
     fall = lambda a, b: apply_generator_cabled(a, b, K)
     return push_columns([[[(word, ONE)]] for word in words], n, K + 1, fall)
@@ -114,7 +116,7 @@ def rho_cabled_batch(words: Sequence[BraidWord], n: int, K: int) -> Iterator[Tra
 
 def rho_cabled_matrix(word: BraidWord, K: int) -> TransitionMatrix:
     """Transition matrix of a word on group-count states, dimension (K+1)^n."""
-    return next(rho_cabled_batch([word], word.n, K))
+    return rho_cabled_batch([word], word.n, K)[0]
 
 
 def cable_word(word: BraidWord, K: int) -> BraidWord:

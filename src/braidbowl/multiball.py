@@ -18,11 +18,12 @@ collects v.  Composition convention: the matrix of w_1 ... w_m is
 M(w_m) @ ... @ M(w_1) acting on column vectors of input distributions.
 ``push_columns`` builds it right to left, M(l s) = M(s) @ M(l), one ``step``
 per letter, so each partial is the matrix of a suffix.  rho is linear and
-multiplicative, so the push also yields, in order, the matrices of a batch
-of products of sums of words (``rho_batch``), and builds a suffix that they
-share once, whatever their order; ``rho_matrix`` and ``rho_element`` are
-batches of one.  Each matrix stays packed until its ``cols`` are read
-(``matrix.TransitionMatrix``).
+multiplicative, so the push also returns, as a list in input order, the
+matrices of a batch of products of sums of words (``rho_batch``).  It builds
+each distinct path once, and a suffix that paths share once, whatever their
+order; a failing column sum raises before anything is returned.
+``rho_matrix`` and ``rho_element`` are batches of one.  Each matrix stays
+packed until its ``cols`` are read (``matrix.TransitionMatrix``).
 
 A crossing here compares only its two counts, so rho commutes with every
 order-preserving relabelling of count values, and the block of a count
@@ -128,8 +129,8 @@ def step(m: dict[int, dict[int, int]], gen: dict, c: int = 0) -> dict[int, dict[
 
 def push_columns(
     products: Sequence[Sequence[Factor]], n: int, radix: int, fall: Fall
-) -> Iterator[TransitionMatrix]:
-    """The matrix of each product in ``products``, yielded in order.  A
+) -> list[TransitionMatrix]:
+    """The matrix of each product in ``products``, as a list in order.  A
     product f_1 ... f_r is given by its factors, and a factor
     f_p = sum_t c_t w_t, a combination of positive words on n strands, by its
     terms; a word w is the product of the one factor with the one term
@@ -145,12 +146,12 @@ def push_columns(
     ``ValueError`` naming the pair.  When the batch holds a letter, ``fall``
     is called once for each of the radix^2 pairs; a batch without letters
     calls it not at all.  Each letter's generator columns G_l are tabulated
-    once per call from those pairs, with no arithmetic per state: along the
-    states, the pair (a, b) that sigma_i meets holds for a run of
-    radix^(i-1) states and repeats with period radix^(i+1).  Each pair gives
-    one shift of the index, an int where the crossing moves the state whole
-    with weight 1, else a list of (offset, packed weight); one period of
-    shifts, repeated to dim, lays out the table, read at the roots below.
+    once per call from those pairs, at the pushed columns only (the roots,
+    below).  Each pair gives one shift of the index, an int where the
+    crossing moves the state whole with weight 1, else a list of (offset,
+    packed weight).  At sigma_i a state s meets the pair of its digits i and
+    i+1, the pair numbered s // radix^(i-1) % radix^2, and its column is s
+    moved by that pair's shift.
 
     Orbits.  Where each branch swaps the pair (c = 0) or keeps it
     (c = a - b), with branches and weights set by the order of a and b alone
@@ -171,25 +172,24 @@ def push_columns(
     ``step`` each, else one negative id per distinct factor, built when the
     chain reaches it and chained by column j of P @ F being
     ``apply(P, F[j])``.  So each partial is rho of a suffix.  The push builds
-    the products in the sorted order of their paths, so paths that share a
-    prefix are adjacent; it keeps only the partials of the atoms that the
-    next path starts with too, and starts it from the deepest.  So any batch
-    steps each distinct path prefix once, a product whose path equals the
-    one before it gets its matrix, with nothing built, and a lone product
-    keeps nothing.  Within a factor, repeated words add their
-    coefficients and words whose sum is 0 are dropped.  A factor is built in
-    packed ints (``qpoly.pack``) by Horner's rule over the prefix trie of its
-    words, deepest nodes first: the node of a prefix p has M(p) = sum over
-    its words p t of c_(p t) rho(t) = c_p I + sum over its children p l of
-    ``step(M(p l), G_l)``, and the factor is M at the root.  A coset ladder,
-    whose words are the prefixes of its longest word, is a chain with signs
-    +-1 in turn, so m words cost m - 1 steps.  Every column of a product,
-    missing ones included, must sum to its own epsilon = prod_p sum_t c_t,
-    else ``ValueError`` names the column.  It reads the roots only: a copy
-    sums to its root's sum, and the root has the lower index.  Products are
-    yielded in input order, each once it and every product before it are
-    built: at a failure, those before the first product not yet built have
-    been yielded, and no other.
+    each distinct path once, in sorted order, so paths that share a prefix
+    are adjacent; it keeps only the partials of the atoms that the next path
+    starts with too, and starts it from the deepest.  So any batch steps each
+    distinct path prefix once, products with equal paths share one matrix,
+    and a lone product keeps nothing.  Within a factor, repeated words add
+    their coefficients and words whose sum is 0 are dropped.  A factor is
+    built in packed ints (``qpoly.pack``) by Horner's rule over the prefix
+    trie of its words, deepest nodes first: the node of a prefix p has
+    M(p) = sum over its words p t of c_(p t) rho(t) = c_p I + sum over its
+    children p l of ``step(M(p l), G_l)``, and the factor is M at the root.
+    A coset ladder, whose words are the prefixes of its longest word, is a
+    chain with signs +-1 in turn, so m words cost m - 1 steps.  Every column
+    of a product, missing ones included, must sum to its own epsilon
+    = prod_p sum_t c_t, which one product of its path gives, as the products
+    of a path share their factors other than words.  It reads the roots only:
+    a copy sums to its root's sum, and the root has the lower index.  A
+    failing column raises ``ValueError`` naming it, before anything is
+    returned; else the matrices come back as a list in input order.
 
     Digit width.  A generator column has total coefficient L1 norm at most
     ``growth`` (read from the fall's own weights, at least 1), so a column
@@ -203,7 +203,7 @@ def push_columns(
     2^(B-1), so the column-sum check on the packed ints is exact too.
     Branches of weight 0 are skipped and ``apply`` and ``step`` drop
     cancelled sums, so no packed entry is 0.
-    Each product is yielded packed, as a ``TransitionMatrix`` of its root
+    Each product is returned packed, as a ``TransitionMatrix`` of its root
     columns, with the copies table and B that the call's matrices share.
     """
     dim = radix**n
@@ -244,9 +244,9 @@ def push_columns(
     growth = max([1, *(sum(l1(w) for _c, w in cs) for cs in falls.values())])
     bound = lambda factor: sum(l1(c) * growth ** len(word) for word, c in factor)
     width = digit_width(max((math.prod(map(bound, factors)) for factors in products), default=1))
-    # moves[r]: (digit move, packed weight) per branch of the pair (a, b) that
-    # run r of a period meets, r = a + radix b.  Digits i and i+1 move by
-    # (d, -d), so the index moves by d (lo - hi).
+    # moves[r]: (digit move, packed weight) per branch of the pair (a, b),
+    # r = a + radix b, that sigma_i meets at s where s // lo % radix^2 = r.
+    # Digits i and i+1 move by (d, -d), so the index moves by d (lo - hi).
     moves = [
         [(b + c - a, pack(w, width)) for c, w in falls[a, b] if w] for b in counts for a in counts
     ]
@@ -259,11 +259,10 @@ def push_columns(
             else [(d * (lo - hi), x) for d, x in ms]
             for ms in moves
         ]
-        # One period, hi * radix states, is the radix^2 runs of lo states each.
-        period = [sh for sh in shifts for _ in range(lo)] * (dim // (hi * radix))
+        at = (shifts[s // lo % radix**2] for s in roots)
         gens[i] = {
             s: s + sh if type(sh) is int else {s + o: x for o, x in sh}
-            for s, sh in zip(roots, map(period.__getitem__, roots))
+            for s, sh in zip(roots, at)
         }
 
     def build(factor: Factor) -> dict[int, dict[int, int]]:
@@ -302,55 +301,52 @@ def push_columns(
             out += reversed(f[0][0].letters) if word else [ids.setdefault(tuple(f), ~len(ids))]
         return tuple(out)
 
-    paths = [*map(atoms, products), ()]
+    paths = [*map(atoms, products)]
     distinct = [*ids]
     identity = lambda: {j: {j: 1} for j in roots}
-    # The walk: the products in the sorted order of their paths, then (),
-    # which keeps nothing.  kept[d]: rho of the first d + 1 atoms of the path
-    # being read, for the depths that the next path of the walk starts with.
-    walk = [*sorted(range(len(products)), key=paths.__getitem__), len(products)]
+    # One product of each distinct path, whose epsilon its column sums match.
+    owners = dict(zip(paths, products))
+    ordered = sorted(owners)
+    matrices: dict[tuple[int, ...], TransitionMatrix] = {}
+    # kept[d]: rho of the first d + 1 atoms of the path being built, for the
+    # depths that the next path in sorted order starts with too.
     kept: list[dict[int, dict[int, int]]] = []
-    built: dict[int, TransitionMatrix] = {}
-    behind, ready = None, 0
-    for p, after in zip(walk, walk[1:]):
-        path, keep = paths[p], 0
-        for a, b in zip(path, paths[after]):
+    for k, path in enumerate(ordered):
+        after, keep = ordered[k + 1] if k + 1 < len(ordered) else (), 0
+        for a, b in zip(path, after):
             if a != b:
                 break
             keep += 1
         depth, total = len(kept), kept[-1] if kept else None
         del kept[keep:]
-        if path != behind:
-            for d in range(depth, len(path)):
-                atom = path[d]
-                if atom > 0:
-                    total = step(identity() if total is None else total, gens[atom])
-                elif total is None:
-                    total = build(distinct[~atom])
-                else:
-                    total = {j: apply(total, col) for j, col in build(distinct[~atom]).items()}
-                if d < keep:
-                    kept.append(total)
-            matrix = TransitionMatrix(dim, identity() if total is None else total, copies, width)
-            epsilon = math.prod((poly_sum(c for _w, c in f) for f in products[p]), start=ONE)
-            one = pack(epsilon, width)
-            for j in roots:
-                if sum(matrix.packed.get(j, {}).values()) != one:
-                    got = poly_sum(matrix.cols.get(j, {}).values())
-                    raise ValueError(f"column {j} sums to {got}, expected {epsilon}")
-            behind = path
-        built[p] = matrix
-        while ready in built:
-            yield built.pop(ready)
-            ready += 1
-
+        for d in range(depth, len(path)):
+            atom = path[d]
+            if atom > 0:
+                total = step(identity() if total is None else total, gens[atom])
+            elif total is None:
+                total = build(distinct[~atom])
+            else:
+                total = {j: apply(total, col) for j, col in build(distinct[~atom]).items()}
+            if d < keep:
+                kept.append(total)
+        matrix = TransitionMatrix(dim, identity() if total is None else total, copies, width)
+        epsilon = math.prod((poly_sum(c for _w, c in f) for f in owners[path]), start=ONE)
+        one = pack(epsilon, width)
+        for j in roots:
+            if sum(matrix.packed.get(j, {}).values()) != one:
+                got = poly_sum(matrix.cols.get(j, {}).values())
+                raise ValueError(f"column {j} sums to {got}, expected {epsilon}")
+        matrices[path] = matrix
+    return [matrices[path] for path in paths]
 
 Pushable = BraidWord | HeckeElement | HeckeProduct
 
 
-def rho_batch(xs: Sequence[Pushable], n: int, N: int) -> Iterator[TransitionMatrix]:
+def rho_batch(xs: Sequence[Pushable], n: int, N: int) -> list[TransitionMatrix]:
     """rho of each word, combination of words or product of combinations in
-    ``xs``, all on n strands, yielded in order from one push."""
+    ``xs``, all on n strands, as a list in the order of ``xs`` from one push,
+    which builds each distinct path once.  A column that fails its sum
+    raises before anything is returned."""
     _validate_sizes(n, N)
     products = [
         [[(x, ONE)]] if isinstance(x, BraidWord) else [f.terms for f in x.factors] for x in xs
@@ -366,7 +362,7 @@ def rho_matrix(word: BraidWord, N: int) -> TransitionMatrix:
 def rho_element(x: HeckeElement | HeckeProduct, N: int) -> TransitionMatrix:
     """Linear extension: the matrix of a formal combination of words, or of
     a product of such combinations, pushed as the product of its factors."""
-    return next(rho_batch([x], x.n, N))
+    return rho_batch([x], x.n, N)[0]
 
 
 def fmt_state(u: BallState) -> str:
@@ -401,12 +397,13 @@ def matrix_report(name: str, comparisons: Iterable[Comparison], n: int, cap: int
 
 def pushed_pairs(
     pairs: Sequence[tuple[str, Pushable, Pushable]],
-    push: Callable[[list[Pushable]], Iterator[Matrix]],
+    push: Callable[[list[Pushable]], Iterable[Matrix]],
 ) -> Iterator[Comparison]:
     """(label, rho(left), rho(right)) for each (label, left, right) in
-    ``pairs``, where ``push`` yields the matrices of a list of words or
-    products in order, so both sides of every pair are pushed in one call."""
-    matrices = push([side for _label, left, right in pairs for side in (left, right)])
+    ``pairs``, where ``push`` returns the matrices of a list of words or
+    products in order, read through ``iter``, so both sides of every pair
+    are pushed in one call."""
+    matrices = iter(push([side for _label, left, right in pairs for side in (left, right)]))
     for label, _left, _right in pairs:
         yield label, next(matrices), next(matrices)
 
@@ -543,7 +540,7 @@ def check_stochastic(n: int, N: int) -> CheckReport:
 
     Column sums of 1 need no check here: ``rho_batch`` pushes each word as
     (word, ONE), and ``push_columns`` checks that every column sums to 1
-    before it yields the word's matrix.  The words are drawn first and
+    before it returns the batch.  The words are drawn first and
     pushed in one call, which steps each distinct suffix once.  The check is
     one pass in the order drawn, one test per invariant: a column's rows are
     states of its own count multiset, and a word's entries have degree at

@@ -181,8 +181,8 @@ def test_a_flipped_level_sign_fails_the_kernel(monkeypatch):
     # The same fault at the first step of x_1's chain in check_specht's push,
     # the deepest level of its last ladder, 1 - T_3(1 - T_2(1 - T_1)).  The
     # push builds (1 - sigma_i) half_i for i = 3, 2 first, then
-    # (1 - sigma_1) half_1, which has x_1's factor lists, so x_1 is yielded
-    # from it.  x_1's other ladders have epsilon 0, so its column sums stay
+    # (1 - sigma_1) half_1, which has x_1's factor lists, so x_1 shares its
+    # matrix.  x_1's other ladders have epsilon 0, so its column sums stay
     # 0, and the kernel comparison fails instead.
     assert multiball.check_specht(4, 2, 1).passed
     one_minus = lambda i: HeckeElement(4, ((BraidWord(4), ONE), (BraidWord(4, (i,)), -ONE)))

@@ -269,7 +269,7 @@ def test_pushed_hecke_and_inverse_sides_match_the_matrix_oracle(monkeypatch, n, 
 def test_far_commutativity_fails_when_one_word_is_tampered(monkeypatch):
     # No fault of the fall breaks far commutativity: far generators move
     # disjoint digits.  So the matrix of one word is changed instead, as the
-    # check's one batched push yields it.
+    # check's one batched push returns it.
     original = multiball.rho_batch
 
     def rho_batch_tampered(words, n, N):
@@ -387,7 +387,7 @@ def test_stochastic_check_runs():
 def tampered_stochastic_report(monkeypatch, edit):
     """``check_stochastic(3, 2)`` with ``edit(word, column, width)`` applied
     to the packed column of state (2,0,0) of every matrix that the check's
-    one batched push yields; the edits keep its sum 1.  (2,0,0) is a copy of
+    one batched push returns; the edits keep its sum 1.  (2,0,0) is a copy of
     (1,0,0), so the tampered matrix holds its column as a root of its own."""
     original = multiball.rho_batch
     j = state_index((2, 0, 0), 2)

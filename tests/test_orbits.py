@@ -51,7 +51,7 @@ def factors_of(x):
     return [[(x, ONE)]] if isinstance(x, BraidWord) else [f.terms for f in x.factors]
 
 
-SHAPES = [(n, N) for n in range(1, 6) for N in range(1, 5)] + [(4, 6)]
+SHAPES = [(n, N) for n in range(1, 6) for N in range(1, 5)] + [(4, 6), (2, 20), (3, 9)]
 
 
 @pytest.mark.parametrize("n, N", SHAPES)

@@ -1,6 +1,6 @@
 """A pushed matrix stays packed until an entry is read.
 
-``push_columns`` yields ``TransitionMatrix`` objects that hold the packed
+``push_columns`` returns ``TransitionMatrix`` objects that hold the packed
 root columns of the push; ``cols`` decodes them on its first read.  Two
 matrices of one push compare their packed root columns, any other pair
 their decoded columns, and the two comparisons must always agree.  A

@@ -828,7 +828,7 @@ def test_a_zero_factor_followed_by_letters_yields_zero(model):
     assert word == push_one(batch[1], 3, 3, model_fall(model, 2)) != Matrix(27)
 
 
-def test_a_fall_that_breaks_column_sums_fails_before_its_matrix_is_yielded(monkeypatch):
+def test_a_fall_that_breaks_column_sums_fails_before_anything_is_returned(monkeypatch):
     original = multiball.apply_generator
 
     def skewed(a, b):
@@ -837,18 +837,19 @@ def test_a_fall_that_breaks_column_sums_fails_before_its_matrix_is_yielded(monke
         return [(c, ONE) for c, _w in branches] if (a, b) == (1, 0) else branches
 
     monkeypatch.setattr(multiball, "apply_generator", skewed)
-    # The empty word meets no crossing and is yielded as it is; sigma_1 fails
-    # its check, so neither it nor anything after it is yielded.
+    steps = recorded_calls(monkeypatch, multiball, "step")
+    # The push walks the empty word, which meets no crossing, then sigma_1,
+    # one step, which fails its check; sigma_2 is never built, and the push
+    # returns nothing.
     words = [BraidWord(3), BraidWord(3, (1,)), BraidWord(3, (2,))]
-    yielded = []
+    returned = None
     column = state_index((1, 0, 0), 1)
     with pytest.raises(ValueError, match=rf"^column {column} sums to 2, expected 1$"):
-        for m in multiball.rho_batch(words, 3, 1):
-            yielded.append(m)
-    assert yielded == [identity(8)]
+        returned = multiball.rho_batch(words, 3, 1)
+    assert returned is None and len(steps) == 1
 
 
-def test_a_failing_product_that_sorts_ahead_stops_the_products_before_it(monkeypatch):
+def test_a_failing_product_that_sorts_ahead_fails_the_whole_batch(monkeypatch):
     original = multiball.apply_generator
 
     def skewed(a, b):
@@ -857,19 +858,18 @@ def test_a_failing_product_that_sorts_ahead_stops_the_products_before_it(monkeyp
         return [(c, ONE) for c, _w in branches] if (a, b) == (1, 0) else branches
 
     monkeypatch.setattr(multiball, "apply_generator", skewed)
-    # The push builds the paths (), () and (1,) in that order: the empty
-    # word, then 1, which is the empty word's matrix, then sigma_1, which
-    # fails.  Only the empty word has every product before it built, so it
-    # alone is yielded; sigma_2 and 1 come before or after sigma_1 in the
-    # batch and are not.
+    steps = recorded_calls(monkeypatch, multiball, "step")
+    # The empty word and 1 share the path (), built once and first; then
+    # sigma_1, which fails, ahead of sigma_2, which is never built.  The
+    # push returns nothing, neither for the products before sigma_1 in the
+    # batch nor for those after it.
     one = HeckeElement(3, ((BraidWord(3), ONE),))
     xs = [BraidWord(3), BraidWord(3, (2,)), BraidWord(3, (1,)), one]
-    yielded = []
+    returned = None
     column = state_index((1, 0, 0), 1)
     with pytest.raises(ValueError, match=rf"^column {column} sums to 2, expected 1$"):
-        for m in multiball.rho_batch(xs, 3, 1):
-            yielded.append(m)
-    assert yielded == [identity(8)]
+        returned = multiball.rho_batch(xs, 3, 1)
+    assert returned is None and len(steps) == 1
 
 
 def test_a_batch_checks_each_product_against_its_own_epsilon():

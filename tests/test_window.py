@@ -141,7 +141,7 @@ def test_a_flipped_term_of_half_k_fails_its_factorization(monkeypatch):
     # Seeded fault: at i = k the longest term of the last ladder of half_1 at
     # (4,2,1), T(3, 2, 1), gets the wrong sign, so (1 - sigma_1) half_1 no
     # longer has the factor lists of x_1.  The push must build it rather than
-    # yield x_1's matrix again, and x_1 itself still dies.
+    # share x_1's matrix, and x_1 itself still dies.
     original = multiball.specht_half
 
     def flipped(n, N, k, i):
